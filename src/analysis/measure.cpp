@@ -1,9 +1,12 @@
 #include "analysis/measure.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "analysis/trace.hpp"
@@ -29,44 +32,173 @@ std::uint64_t default_budget(const core::Params& params) {
   return static_cast<std::uint64_t>(150.0 * (n * n / r) * L) + 200000;
 }
 
-StabilizationResult stabilize_from(const core::Params& params,
-                                   std::vector<core::Agent> config,
-                                   std::uint64_t seed,
-                                   std::uint64_t max_interactions,
-                                   const ProbeOptions& probes) {
-  if (!probes.checkpoint_path.empty()) {
+namespace {
+
+// --- the Engine × Topology routing table ----------------------------------
+
+/// Engine routing for a topology request, loud on every degrade: the ring
+/// has no community lumping (each agent's neighborhood is private to it),
+/// so the counts engines reroute to naive; on a blocked topology the
+/// sharded engine's birthday-block partition assumes the uniform pair law,
+/// which community weighting breaks, so it reroutes to the community
+/// batched engine.
+EngineSpec route_topology_engine(EngineSpec engine, const Topology& topology) {
+  if (topology.kind == Topology::Kind::kRing && engine != Engine::kNaive) {
     std::fprintf(stderr,
-                 "note: checkpoints are counts-native; the naive engine "
-                 "runs uncheckpointed\n");
+                 "note: topology '%s' has no lumped configuration; routing "
+                 "--engine=%s to the naive agent-array engine\n",
+                 topology_name(topology), engine_name(engine));
+    return Engine::kNaive;
   }
-  core::ElectLeader protocol(params);
-  pp::Population<core::ElectLeader> population(std::move(config));
-  pp::Simulator<core::ElectLeader> sim(protocol, std::move(population), seed);
+  if (topology.kind != Topology::Kind::kComplete &&
+      engine == Engine::kSharded) {
+    std::fprintf(stderr,
+                 "note: topology '%s' is community-weighted; the sharded "
+                 "engine's uniform block partition does not apply — routing "
+                 "--engine=sharded to the community batched engine\n",
+                 topology_name(topology));
+    return Engine::kBatched;
+  }
+  return engine;
+}
 
-  const auto probe = [&](const pp::Population<core::ElectLeader>& pop,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, pop.states());
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    return core::is_safe_configuration(params, pop.states());
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
+/// Builds the engine that runs `engine` on the complete topology and hands
+/// it to `run`.  kLeaping runs the leap engine only for leap-eligible
+/// protocols (pp::LeapEligible) and otherwise the batched engine, the
+/// nearest exact one.  `start` supplies the initial configuration in the
+/// form each engine takes: population() for the agent-array engine,
+/// counts() for the counts engines.
+template <typename P, typename Start, typename Run>
+auto on_uniform_engine(EngineSpec engine, const P& protocol,
+                       std::uint64_t seed, Start& start, const Run& run) {
+  switch (engine.kind) {
+    case Engine::kNaive: {
+      pp::Simulator<P> sim(protocol, start.population(), seed);
+      return run(sim);
+    }
+    case Engine::kSharded: {
+      pp::ShardedSimulator<P> sim(protocol, start.counts(), seed,
+                                  engine.shards);
+      return run(sim);
+    }
+    case Engine::kLeaping:
+      if constexpr (pp::LeapEligible<P>) {
+        pp::LeapingSimulator<P> sim(protocol, start.counts(), seed);
+        return run(sim);
+      }
+      break;
+    case Engine::kBatched:
+      break;
+  }
+  pp::BatchedSimulator<P> sim(protocol, start.counts(), seed);
+  return run(sim);
+}
 
+/// The full Engine × Topology table (see Topology in measure.hpp): the
+/// complete topology is on_uniform_engine; the ring runs the naive engine
+/// over the cycle graph; a blocked topology runs the naive engine under
+/// pp::BlockedScheduler, or the lumped (community, state) engine for every
+/// counts engine, built from start.community(blocked).
+template <typename P, typename Start, typename Run>
+auto on_engine(EngineSpec engine, const Topology& topology, const P& protocol,
+               std::uint64_t n, std::uint64_t seed, Start& start,
+               const Run& run) {
+  if (topology.kind == Topology::Kind::kComplete) {
+    return on_uniform_engine(engine, protocol, seed, start, run);
+  }
+  engine = route_topology_engine(engine, topology);
+  if (topology.kind == Topology::Kind::kRing) {
+    pp::Simulator<P, pp::GraphScheduler> sim(
+        protocol, start.population(),
+        pp::GraphScheduler(pp::Graph::cycle(static_cast<std::uint32_t>(n)),
+                           util::substream(seed, 1)),
+        seed);
+    return run(sim);
+  }
+  pp::BlockedTopology blocked = blocked_topology(topology, n);
+  if (engine == Engine::kNaive) {
+    pp::Simulator<P, pp::BlockedScheduler> sim(
+        protocol, start.population(),
+        pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
+        seed);
+    return run(sim);
+  }
+  pp::BatchedSimulator<P, pp::CommunityCountsConfiguration<P>> sim(
+      protocol, start.community(std::move(blocked)), seed);
+  return run(sim);
+}
+
+/// A start given as per-agent states (agent i in community_of_agent(i) on
+/// blocked topologies) or, without states, the protocol's clean
+/// configuration.  Every engine starts from the same agents in the same
+/// insertion order, so runs differ only in the scheduling law.
+template <typename P>
+struct AgentStart {
+  const P& protocol;
+  std::optional<std::vector<typename P::State>> states;
+
+  pp::Population<P> population() {
+    return states ? pp::Population<P>(std::move(*states))
+                  : pp::Population<P>(protocol);
+  }
+  pp::CountsConfiguration<P> counts() const {
+    return states ? pp::CountsConfiguration<P>(*states)
+                  : pp::CountsConfiguration<P>(protocol);
+  }
+  pp::CommunityCountsConfiguration<P> community(
+      pp::BlockedTopology blocked) const {
+    return states ? pp::CommunityCountsConfiguration<P>(*states,
+                                                        std::move(blocked))
+                  : pp::CommunityCountsConfiguration<P>(protocol,
+                                                        std::move(blocked));
+  }
+};
+
+/// The engine's current configuration: the agent population or the counts
+/// registry.
+template <typename Sim>
+decltype(auto) configuration_of(Sim& sim) {
+  if constexpr (requires { sim.config(); }) {
+    return sim.config();
+  } else {
+    return sim.population();
+  }
+}
+
+/// What the ElectLeader_r predicates, trace and census read: the agent
+/// array of a population, a counts registry as is.
+template <typename C>
+const auto& probe_view(const C& config) {
+  if constexpr (requires { config.states(); }) {
+    return config.states();
+  } else {
+    return config;
+  }
+}
+
+template <typename P, typename Sim>
+StabilizationResult stabilization_result(Sim& sim, const pp::RunResult& run,
+                                         std::uint32_t n) {
   StabilizationResult res;
   res.converged = run.converged;
   res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = core::leader_count(sim.population().states());
+  res.parallel_time = run.parallel_time(n);
+  const auto& view = probe_view(configuration_of(sim));
+  if constexpr (requires { view.count_if(P::is_leader); }) {
+    res.leaders = static_cast<std::uint32_t>(view.count_if(P::is_leader));
+  } else {
+    res.leaders = static_cast<std::uint32_t>(
+        std::count_if(view.begin(), view.end(), P::is_leader));
+  }
   res.metrics = sim.metrics();
   return res;
 }
 
-namespace {
+// --- the ElectLeader_r run loop -------------------------------------------
 
-/// Checkpoint identity + codec for the ElectLeader_r counts engines
-/// (ProbeOptions.checkpoint_*): the protocol label restore checks, and the
-/// per-state snapshot stanza codec (core/snapshot.hpp).
+/// Checkpoint identity + codec for ElectLeader_r (ProbeOptions.checkpoint_*):
+/// the protocol label restore checks, and the per-state snapshot stanza
+/// codec (core/snapshot.hpp).
 constexpr const char* kElectLeaderLabel = "elect_leader";
 
 std::string encode_elect_leader(const core::Agent& a) {
@@ -77,294 +209,114 @@ std::optional<core::Agent> decode_elect_leader(const std::string& text) {
   return core::snapshot_read_agent(text);
 }
 
-/// Shared ProbeOptions.checkpoint_* plumbing for the counts engines: call
-/// resume() before run_until (it loads an existing checkpoint, restores the
-/// engine, and shrinks the remaining budget), and on_probe(t) from the
-/// probe lambda (it saves every checkpoint_every interactions).
+/// Checkpoints are counts-native: the uniform batched and sharded engines
+/// have a checkpoint format (obs/checkpoint.hpp); the agent-array engines
+/// and the community engine do not.
 template <typename Sim>
-class StabilizeCheckpointer {
- public:
-  StabilizeCheckpointer(Sim& sim, const ProbeOptions& probes)
-      : sim_(sim), probes_(probes) {}
-
-  void resume(std::uint64_t* max_interactions) {
-    if (!enabled()) return;
-    auto doc = obs::checkpoint_load(probes_.checkpoint_path);
-    if (!doc) return;  // nothing saved yet: a fresh run
-    if (!obs::restore_checkpoint(sim_, *doc, kElectLeaderLabel,
-                                 decode_elect_leader)) {
-      std::fprintf(stderr,
-                   "error: checkpoint at %s does not restore into this "
-                   "engine/protocol\n",
-                   probes_.checkpoint_path.c_str());
-      std::exit(2);
-    }
-    last_saved_ = sim_.interactions();
-    // run_until budgets are relative to the engine's interaction count:
-    // a resumed run only owes the remainder of the original budget.
-    *max_interactions -= std::min(*max_interactions, sim_.interactions());
-  }
-
-  void on_probe(std::uint64_t t) {
-    if (!enabled() || t < last_saved_ + probes_.checkpoint_every) return;
-    auto doc = obs::make_checkpoint(sim_, kElectLeaderLabel,
-                                    encode_elect_leader);
-    if (obs::checkpoint_save(probes_.checkpoint_path, doc)) last_saved_ = t;
-  }
-
- private:
-  bool enabled() const {
-    return !probes_.checkpoint_path.empty() && probes_.checkpoint_every > 0;
-  }
-
-  Sim& sim_;
-  const ProbeOptions& probes_;
-  std::uint64_t last_saved_ = 0;
+constexpr bool kCheckpointable = requires(Sim& sim) {
+  obs::make_checkpoint(sim, kElectLeaderLabel, encode_elect_leader);
 };
 
-/// Batched-engine counterpart of stabilize_from: advances a counts
-/// configuration until the (counts-native) safe predicate holds.
-StabilizationResult stabilize_counts_from(
-    const core::Params& params,
-    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
-    std::uint64_t max_interactions, const ProbeOptions& probes) {
-  core::ElectLeader protocol(params);
-  pp::BatchedSimulator<core::ElectLeader> sim(protocol, std::move(config),
-                                              seed);
-  StabilizeCheckpointer checkpointer(sim, probes);
-  checkpointer.resume(&max_interactions);
-
-  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, c);
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    // Safety first: saving canonicalizes the engine, which may rebuild the
-    // very configuration `c` refers to.
-    const bool safe = core::is_safe_configuration(params, c);
-    checkpointer.on_probe(t);
-    return safe;
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// Sharded-engine counterpart of stabilize_counts_from: the same counts
-/// configuration, partitioned over `shards` worker shards
-/// (pp::ShardedSimulator).  Probes observe the settled merged
-/// configuration, so the predicate and census code are shared verbatim.
-StabilizationResult stabilize_sharded_counts_from(
-    const core::Params& params,
-    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
-    std::uint64_t max_interactions, const ProbeOptions& probes,
-    std::size_t shards) {
-  core::ElectLeader protocol(params);
-  pp::ShardedSimulator<core::ElectLeader> sim(protocol, std::move(config),
-                                              seed, shards);
-  StabilizeCheckpointer checkpointer(sim, probes);
-  checkpointer.resume(&max_interactions);
-
-  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, c);
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    // Safety first: saving canonicalizes the engine, which may rebuild the
-    // very configuration `c` refers to.
-    const bool safe = core::is_safe_configuration(params, c);
-    checkpointer.on_probe(t);
-    return safe;
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// The protocol's clean initial configuration as a per-agent array.
-std::vector<core::Agent> clean_config(const core::Params& params) {
-  core::ElectLeader protocol(params);
-  std::vector<core::Agent> config;
-  config.reserve(params.n);
-  for (std::uint32_t i = 0; i < params.n; ++i) {
-    config.push_back(protocol.initial_state(i));
+/// Runs ElectLeader_r on `sim` until the safe predicate holds at a probe.
+/// Every probe records the trace, ticks the journal, checks safety and —
+/// on a checkpointable engine — saves every checkpoint_every interactions.
+/// A checkpointable engine first resumes from an existing checkpoint at
+/// the path; any other engine notes that it runs uncheckpointed.
+template <typename Sim>
+StabilizationResult run_elect_leader(Sim& sim, const core::Params& params,
+                                     std::uint64_t max_interactions,
+                                     const ProbeOptions& probes,
+                                     const Topology& topology) {
+  const bool checkpointing =
+      !probes.checkpoint_path.empty() && probes.checkpoint_every > 0;
+  std::uint64_t last_saved = 0;
+  if constexpr (kCheckpointable<Sim>) {
+    auto doc = checkpointing ? obs::checkpoint_load(probes.checkpoint_path)
+                             : std::nullopt;
+    if (doc) {
+      if (!obs::restore_checkpoint(sim, *doc, kElectLeaderLabel,
+                                   decode_elect_leader)) {
+        std::fprintf(stderr,
+                     "error: checkpoint at %s does not restore into this "
+                     "engine/protocol\n",
+                     probes.checkpoint_path.c_str());
+        std::exit(2);
+      }
+      last_saved = sim.interactions();
+      // run_until budgets are relative to the engine's interaction count:
+      // a resumed run only owes the remainder of the original budget.
+      max_interactions -= std::min(max_interactions, sim.interactions());
+    }
+  } else if (!probes.checkpoint_path.empty()) {
+    std::fprintf(stderr,
+                 "note: checkpoints are counts-native (batched or sharded "
+                 "engine, complete topology); the %s engine on topology "
+                 "'%s' runs uncheckpointed\n",
+                 sim.metrics().engine, topology_name(topology));
   }
-  return config;
+
+  const auto probe = [&](const auto& config, std::uint64_t t) {
+    const auto& view = probe_view(config);
+    if (probes.trace) probes.trace->record(t, view);
+    if (probes.journal) probes.journal->tick(t, sim.metrics());
+    // Safety first: saving canonicalizes the engine, which may rebuild the
+    // very configuration `config` refers to.
+    const bool safe = core::is_safe_configuration(params, view);
+    if constexpr (kCheckpointable<Sim>) {
+      if (checkpointing && t >= last_saved + probes.checkpoint_every &&
+          obs::checkpoint_save(probes.checkpoint_path,
+                               obs::make_checkpoint(sim, kElectLeaderLabel,
+                                                    encode_elect_leader))) {
+        last_saved = t;
+      }
+    }
+    return safe;
+  };
+  const auto run =
+      sim.run_until(probe, max_interactions,
+                    probes.probe_every ? probes.probe_every : params.n);
+  return stabilization_result<core::ElectLeader>(sim, run, params.n);
+}
+
+StabilizationResult stabilize_agents(
+    EngineSpec engine, const Topology& topology, const core::Params& params,
+    std::optional<std::vector<core::Agent>> agents, std::uint64_t seed,
+    std::uint64_t max_interactions, const ProbeOptions& probes) {
+  const core::ElectLeader protocol(params);
+  AgentStart<core::ElectLeader> start{protocol, std::move(agents)};
+  return on_engine(engine, topology, protocol, params.n, seed, start,
+                   [&](auto& sim) {
+                     return run_elect_leader(sim, params, max_interactions,
+                                             probes, topology);
+                   });
 }
 
 }  // namespace
+
+StabilizationResult stabilize_from(const core::Params& params,
+                                   std::vector<core::Agent> config,
+                                   std::uint64_t seed,
+                                   std::uint64_t max_interactions,
+                                   const ProbeOptions& probes) {
+  return stabilize_agents(Engine::kNaive, Topology{}, params,
+                          std::move(config), seed, max_interactions, probes);
+}
 
 StabilizationResult stabilize(EngineSpec engine, StartKind start,
                               const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
                               std::uint64_t max_interactions,
                               const ProbeOptions& probes) {
-  if (start == StartKind::kClean) {
-    if (engine == Engine::kNaive) {
-      return stabilize_from(params, clean_config(params), seed,
-                            max_interactions, probes);
-    }
-    core::ElectLeader protocol(params);
-    if (engine == Engine::kSharded) {
-      return stabilize_sharded_counts_from(
-          params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
-          max_interactions, probes, engine.shards);
-    }
-    // kBatched and kLeaping both take the counts path: ElectLeader_r draws
-    // randomness in δ, so it is not leap-eligible (pp::LeapEligible) and a
-    // leap request degrades to the nearest exact engine (documented in
-    // measure.hpp; the routing is pinned by a test).
-    return stabilize_counts_from(
-        params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
-        max_interactions, probes);
-  }
-
-  // Adversarial start: both engines draw the same configuration from the
-  // same seed-derived stream (substream 77, distinct from the simulation
-  // streams), so the start distribution — in fact the start itself — is
-  // engine-independent.
-  util::Rng rng(util::substream(seed, 77));
-  auto config = core::make_adversarial_config(params, corruption, rng);
-  if (engine == Engine::kNaive) {
-    return stabilize_from(params, std::move(config), seed, max_interactions,
-                          probes);
-  }
-  // Project the per-agent array onto state counts; only the multiset
-  // survives into the simulation (any agent labelling is dynamics-
-  // equivalent under the uniform scheduler).
-  pp::CountsConfiguration<core::ElectLeader> counts(config);
-  if (engine == Engine::kSharded) {
-    return stabilize_sharded_counts_from(params, std::move(counts), seed,
-                                         max_interactions, probes,
-                                         engine.shards);
-  }
-  return stabilize_counts_from(params, std::move(counts), seed,
-                               max_interactions, probes);
+  return stabilize(engine, start, params, corruption, seed, max_interactions,
+                   Topology{}, probes);
 }
 
 StabilizationResult stabilize(EngineSpec engine, const core::Params& params,
                               std::uint64_t seed,
                               std::uint64_t max_interactions) {
   return stabilize(engine, StartKind::kClean, params, core::Corruption::kNone,
-                   seed, max_interactions);
+                   seed, max_interactions, Topology{});
 }
-
-namespace {
-
-/// Naive-engine stabilization under an explicit scheduler (BlockedScheduler
-/// for blocked topologies, GraphScheduler for the ring) — the agent-array
-/// twin of stabilize_from.
-template <typename Sched>
-StabilizationResult stabilize_population(const core::Params& params,
-                                         std::vector<core::Agent> config,
-                                         Sched scheduler, std::uint64_t seed,
-                                         std::uint64_t max_interactions,
-                                         const ProbeOptions& probes) {
-  core::ElectLeader protocol(params);
-  pp::Population<core::ElectLeader> population(std::move(config));
-  pp::Simulator<core::ElectLeader, Sched> sim(
-      protocol, std::move(population), std::move(scheduler), seed);
-
-  const auto probe = [&](const pp::Population<core::ElectLeader>& pop,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, pop.states());
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    return core::is_safe_configuration(params, pop.states());
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = core::leader_count(sim.population().states());
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// Lumped-engine stabilization on a blocked topology: the batched engine's
-/// community path over (community, state) counts.  The safe predicate is a
-/// property of the state *multiset* (leader uniqueness, verifier roles,
-/// message-system consistency — none of it community-dependent), so the
-/// probe uses the community-counts overload of core::is_safe_configuration
-/// directly: O(q) multiset pre-checks per probe, expansion only once they
-/// pass — exactly mirroring the uniform counts probe.
-StabilizationResult stabilize_community_from(
-    const core::Params& params,
-    pp::CommunityCountsConfiguration<core::ElectLeader> config,
-    std::uint64_t seed, std::uint64_t max_interactions,
-    const ProbeOptions& probes) {
-  core::ElectLeader protocol(params);
-  pp::BatchedSimulator<core::ElectLeader,
-                       pp::CommunityCountsConfiguration<core::ElectLeader>>
-      sim(protocol, std::move(config), seed);
-
-  const auto probe =
-      [&](const pp::CommunityCountsConfiguration<core::ElectLeader>& c,
-          std::uint64_t t) {
-        if (probes.trace) probes.trace->record(t, c);
-        if (probes.journal) probes.journal->tick(t, sim.metrics());
-        return core::is_safe_configuration(params, c);
-      };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// Engine routing for a topology request: the ring has no community
-/// lumping (each agent's neighborhood is private to it), so the counts
-/// engines reroute to naive with a loud note — the runtime analogue of the
-/// old compile-time static_assert, but survivable.
-Engine route_topology_engine(Engine engine, const Topology& topology) {
-  if (topology.kind == Topology::Kind::kRing && engine != Engine::kNaive) {
-    std::fprintf(stderr,
-                 "note: topology '%s' has no lumped configuration; routing "
-                 "--engine=%s to the naive agent-array engine\n",
-                 topology_name(topology), engine_name(engine));
-    return Engine::kNaive;
-  }
-  return engine;
-}
-
-/// The hard S1 error: an engine/topology/size combination NO engine can
-/// run.  Always names the topology.
-[[noreturn]] void no_engine_for_topology(const Topology& topology,
-                                         std::uint64_t n, const char* why) {
-  std::fprintf(stderr,
-               "error: no engine supports topology '%s' at n=%llu: %s\n",
-               topology_name(topology), static_cast<unsigned long long>(n),
-               why);
-  std::exit(2);
-}
-
-}  // namespace
 
 StabilizationResult stabilize(EngineSpec engine, StartKind start,
                               const core::Params& params,
@@ -372,65 +324,41 @@ StabilizationResult stabilize(EngineSpec engine, StartKind start,
                               std::uint64_t max_interactions,
                               const Topology& topology,
                               const ProbeOptions& probes) {
-  if (topology.kind == Topology::Kind::kComplete) {
-    // The classical model: the uniform paths, byte-for-byte.
-    return stabilize(engine, start, params, corruption, seed, max_interactions,
-                     probes);
-  }
-  engine = route_topology_engine(engine, topology);
-
-  // Both engines start from the same agent array with the same layout
-  // (agent i in community_of_agent(i)), drawn from the same stream as the
-  // complete-topology paths, so runs differ only in the scheduling law.
-  std::vector<core::Agent> config;
-  if (start == StartKind::kClean) {
-    config = clean_config(params);
-  } else {
+  std::optional<std::vector<core::Agent>> agents;
+  if (start == StartKind::kAdversarial) {
+    // Every engine draws the same configuration from the same seed-derived
+    // stream (substream 77, distinct from the simulation streams), so the
+    // start itself is engine-independent.  The counts engines keep only
+    // its multiset (any agent labelling is dynamics-equivalent under the
+    // uniform scheduler).
     util::Rng rng(util::substream(seed, 77));
-    config = core::make_adversarial_config(params, corruption, rng);
+    agents = core::make_adversarial_config(params, corruption, rng);
   }
-
-  if (topology.kind == Topology::Kind::kRing) {
-    return stabilize_population(
-        params, std::move(config),
-        pp::GraphScheduler(pp::Graph::cycle(params.n),
-                           util::substream(seed, 1)),
-        seed, max_interactions, probes);
-  }
-
-  pp::BlockedTopology blocked = blocked_topology(topology, params.n);
-  if (engine == Engine::kNaive) {
-    return stabilize_population(
-        params, std::move(config),
-        pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
-        seed, max_interactions, probes);
-  }
-  // kBatched and kLeaping: the lumped community engine (leaping has no
-  // community leap path; same nearest-exact-engine routing as for
-  // ineligible protocols).  kSharded reroutes here too — its birthday-
-  // block partition assumes the uniform pair law, which community
-  // weighting breaks — loudly, like every other engine degrade.
-  if (engine == Engine::kSharded) {
-    std::fprintf(stderr,
-                 "note: topology '%s' is community-weighted; the sharded "
-                 "engine's uniform block partition does not apply — routing "
-                 "--engine=sharded to the community batched engine\n",
-                 topology_name(topology));
-  }
-  pp::CommunityCountsConfiguration<core::ElectLeader> counts(
-      config, std::move(blocked));
-  return stabilize_community_from(params, std::move(counts), seed,
-                                  max_interactions, probes);
+  return stabilize_agents(engine, topology, params, std::move(agents), seed,
+                          max_interactions, probes);
 }
 
 namespace {
 
-/// Safety probe for the derandomized protocol's counts projection: the
-/// multiset-checkable parts run first (every agent a verifier; in a safe
-/// configuration all ranks — hence all agents — are distinct, so every
-/// live class must have count 1), and only then is the O(n) agent
-/// expansion paid for the message-system scan.
-bool derandomized_counts_safe(
+/// Safety of DerandomizedElectLeader: every agent a verifier, then the
+/// ElectLeader_r predicate over the inner agents.
+bool derandomized_safe(
+    const core::Params& params,
+    const pp::Population<core::DerandomizedElectLeader>& pop) {
+  std::vector<core::Agent> agents;
+  agents.reserve(pop.size());
+  for (std::uint32_t i = 0; i < pop.size(); ++i) {
+    if (pop[i].agent.role != core::Role::kVerifying) return false;
+    agents.push_back(pop[i].agent);
+  }
+  return core::is_safe_configuration(params, agents);
+}
+
+/// The counts projection's version: the multiset-checkable parts run first
+/// (every agent a verifier; in a safe configuration all ranks — hence all
+/// agents — are distinct, so every live class must have count 1), and only
+/// then is the O(n) agent expansion paid for the message-system scan.
+bool derandomized_safe(
     const core::Params& params,
     const pp::CountsConfiguration<core::DerandomizedElectLeader>& counts) {
   if (counts.population_size() != params.n) return false;
@@ -456,84 +384,52 @@ StabilizationResult stabilize_derandomized(EngineSpec engine,
                                            const core::Params& params,
                                            std::uint64_t seed,
                                            std::uint64_t max_interactions) {
-  core::DerandomizedElectLeader protocol(params);
-  StabilizationResult res;
-  if (engine == Engine::kNaive) {
-    pp::Simulator<core::DerandomizedElectLeader> sim(protocol, seed);
-    const auto probe =
-        [&](const pp::Population<core::DerandomizedElectLeader>& pop,
-            std::uint64_t) {
-          std::vector<core::Agent> agents;
-          agents.reserve(pop.size());
-          for (std::uint32_t i = 0; i < pop.size(); ++i) {
-            if (pop[i].agent.role != core::Role::kVerifying) return false;
-            agents.push_back(pop[i].agent);
-          }
-          return core::is_safe_configuration(params, agents);
-        };
-    const auto run = sim.run_until(probe, max_interactions,
-                                   /*probe_every=*/params.n);
-    res.converged = run.converged;
-    res.interactions = run.interactions;
-    res.parallel_time = run.parallel_time(params.n);
-    res.leaders = 0;
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      res.leaders += core::DerandomizedElectLeader::is_leader(
-          sim.population()[i]);
-    }
-    res.metrics = sim.metrics();
-    return res;
-  }
-
-  if (engine == Engine::kSharded) {
-    pp::ShardedSimulator<core::DerandomizedElectLeader> sim(
-        protocol,
-        pp::CountsConfiguration<core::DerandomizedElectLeader>(protocol), seed,
-        engine.shards);
-    const auto probe =
-        [&](const pp::CountsConfiguration<core::DerandomizedElectLeader>& c,
-            std::uint64_t) { return derandomized_counts_safe(params, c); };
-    const auto run = sim.run_until(probe, max_interactions,
-                                   /*probe_every=*/params.n);
-    res.converged = run.converged;
-    res.interactions = run.interactions;
-    res.parallel_time = run.parallel_time(params.n);
-    res.leaders = static_cast<std::uint32_t>(
-        sim.config().count_if(core::DerandomizedElectLeader::is_leader));
-    res.metrics = sim.metrics();
-    return res;
-  }
-
-  // kBatched and kLeaping both land here: DerandomizedElectLeader has a
-  // deterministic δ but keeps q ≈ n distinct states (FastLE identifiers,
-  // ranks), so it fails the narrow-registry half of pp::LeapEligible —
-  // and with almost every pair type active there are no null runs for the
-  // leap engine to jump anyway.
-  pp::BatchedSimulator<core::DerandomizedElectLeader> sim(protocol, seed);
-  const auto probe =
-      [&](const pp::CountsConfiguration<core::DerandomizedElectLeader>& c,
-          std::uint64_t) { return derandomized_counts_safe(params, c); };
-  const auto run = sim.run_until(probe, max_interactions,
-                                 /*probe_every=*/params.n);
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::DerandomizedElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
+  // kLeaping runs batched: the deterministic δ qualifies, but q ≈ n
+  // distinct states (FastLE identifiers, ranks) fail the narrow-registry
+  // half of pp::LeapEligible — and with almost every pair type active
+  // there are no null runs to leap anyway.
+  const core::DerandomizedElectLeader protocol(params);
+  AgentStart<core::DerandomizedElectLeader> start{protocol, std::nullopt};
+  return on_uniform_engine(engine, protocol, seed, start, [&](auto& sim) {
+    const auto run = sim.run_until(
+        [&](const auto& config, std::uint64_t) {
+          return derandomized_safe(params, config);
+        },
+        max_interactions, /*probe_every=*/params.n);
+    return stabilization_result<core::DerandomizedElectLeader>(sim, run,
+                                                               params.n);
+  });
 }
+
+// --- CLI spellings ----------------------------------------------------------
+
+namespace {
+
+/// Strict whole-token unsigned parse: digits only (std::from_chars takes
+/// no sign, no whitespace and no trailing garbage, and rejects overflow).
+template <typename T>
+std::optional<T> parse_digits(std::string_view token) {
+  T v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (token.empty() || ec != std::errc{} || ptr != token.data() + token.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace
 
 EngineSpec engine_from_string(const std::string& name) {
   if (name == "naive") return Engine::kNaive;
   if (name == "batched") return Engine::kBatched;
   if (name == "leaping") return Engine::kLeaping;
   if (name == "sharded") return EngineSpec(Engine::kSharded, 0);
-  std::size_t shards = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "sharded:%zu%c", &shards, &tail) == 1 &&
-      shards >= 1) {
-    return EngineSpec(Engine::kSharded, shards);
+  constexpr std::string_view kSharded = "sharded:";
+  if (name.starts_with(kSharded)) {
+    const auto shards =
+        parse_digits<std::size_t>(std::string_view(name).substr(kSharded.size()));
+    if (shards && *shards >= 1) return EngineSpec(Engine::kSharded, *shards);
   }
   std::fprintf(stderr,
                "error: --engine=%s is not a valid engine "
@@ -580,20 +476,25 @@ Topology topology_from_string(const std::string& spec) {
     t.kind = Topology::Kind::kRing;
     return t;
   }
-  unsigned k = 0;
+  // family:K[:intra:inter] — K is digits only, and the %c sentinel rejects
+  // trailing garbage after the weights (a typo'd spec must not silently
+  // run a different topology).
+  const std::string_view s(spec);
+  const std::size_t k_begin = s.find(':') + 1;  // npos + 1 == 0: no family
+  const std::size_t k_end = s.find(':', k_begin);
+  const std::string_view family = s.substr(0, k_begin ? k_begin - 1 : 0);
+  const auto k = parse_digits<std::uint32_t>(
+      k_begin ? s.substr(k_begin, k_end - k_begin) : std::string_view());
   double intra = 1.0;
   double inter = 0.05;
   char tail = 0;
-  // Longest form first; the %c sentinel rejects trailing garbage (a typo'd
-  // spec must not silently run a different topology).
-  if (std::sscanf(spec.c_str(), "islands:%u:%lf:%lf%c", &k, &intra, &inter,
-                  &tail) == 3) {
+  if (k && family == "islands" &&
+      (k_end == std::string_view::npos ||
+       std::sscanf(spec.c_str() + k_end + 1, "%lf:%lf%c", &intra, &inter,
+                   &tail) == 2)) {
     t.kind = Topology::Kind::kIslands;
-  } else if (std::sscanf(spec.c_str(), "islands:%u%c", &k, &tail) == 1) {
-    t.kind = Topology::Kind::kIslands;
-    intra = 1.0;
-    inter = 0.05;
-  } else if (std::sscanf(spec.c_str(), "multipartite:%u%c", &k, &tail) == 1) {
+  } else if (k && family == "multipartite" &&
+             k_end == std::string_view::npos) {
     t.kind = Topology::Kind::kMultipartite;
     intra = 0.0;
     inter = 1.0;
@@ -605,39 +506,24 @@ Topology topology_from_string(const std::string& spec) {
                  spec.c_str());
     std::exit(2);
   }
-  t.communities = k;
+  t.communities = *k;
   t.intra = intra;
   t.inter = inter;
-  if (k == 0) {
-    std::fprintf(stderr, "error: --topology=%s: K must be >= 1\n",
-                 spec.c_str());
+  const auto reject = [&spec](const char* why) {
+    std::fprintf(stderr, "error: --topology=%s: %s\n", spec.c_str(), why);
     std::exit(2);
+  };
+  if (*k == 0) reject("K must be >= 1");
+  if (t.kind == Topology::Kind::kMultipartite && *k < 2) {
+    reject("a complete multipartite graph needs K >= 2 blocks (K=1 has no "
+           "edges)");
   }
-  if (t.kind == Topology::Kind::kMultipartite && k < 2) {
-    std::fprintf(stderr,
-                 "error: --topology=%s: a complete multipartite graph needs "
-                 "K >= 2 blocks (K=1 has no edges)\n",
-                 spec.c_str());
-    std::exit(2);
+  if (intra < 0.0 || inter < 0.0) reject("edge weights must be >= 0");
+  if (t.kind == Topology::Kind::kIslands && *k > 1 && inter <= 0.0) {
+    reject("K > 1 islands with inter weight 0 are disconnected");
   }
-  if (intra < 0.0 || inter < 0.0) {
-    std::fprintf(stderr, "error: --topology=%s: edge weights must be >= 0\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  if (t.kind == Topology::Kind::kIslands && k > 1 && inter <= 0.0) {
-    std::fprintf(stderr,
-                 "error: --topology=%s: K > 1 islands with inter weight 0 "
-                 "are disconnected\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  if (t.kind == Topology::Kind::kIslands && k == 1 && intra <= 0.0) {
-    std::fprintf(stderr,
-                 "error: --topology=%s: a single island with intra weight 0 "
-                 "has no edges\n",
-                 spec.c_str());
-    std::exit(2);
+  if (t.kind == Topology::Kind::kIslands && *k == 1 && intra <= 0.0) {
+    reject("a single island with intra weight 0 has no edges");
   }
   return t;
 }
@@ -647,15 +533,7 @@ const char* topology_name(const Topology& topology) {
 }
 
 bool topology_is_lumpable(const Topology& topology) {
-  switch (topology.kind) {
-    case Topology::Kind::kComplete:
-    case Topology::Kind::kIslands:
-    case Topology::Kind::kMultipartite:
-      return true;
-    case Topology::Kind::kRing:
-      return false;
-  }
-  return false;
+  return topology.kind != Topology::Kind::kRing;
 }
 
 pp::BlockedTopology blocked_topology(const Topology& topology,
@@ -678,20 +556,62 @@ pp::BlockedTopology blocked_topology(const Topology& topology,
   std::exit(2);
 }
 
+// --- the Lemma A.2 epidemic -------------------------------------------------
+
 namespace {
 
-std::uint64_t epidemic_budget(std::uint64_t n) {
+/// The default budget: 64 · n · ⌈log2 n⌉ on the complete graph; 8× that on
+/// a blocked topology (spreading must cross the possibly low-weight
+/// inter-community cut, but each crossing is a one-time event against a
+/// Θ(n log n) backbone); 16 · n² on the ring, which spreads by boundary
+/// contact.
+std::uint64_t epidemic_budget(const Topology& topology, std::uint64_t n) {
+  if (topology.kind == Topology::Kind::kRing) {
+    const long double b =
+        16.0L * static_cast<long double>(n) * static_cast<long double>(n);
+    return b > 1.8e19L ? ~std::uint64_t{0} : static_cast<std::uint64_t>(b);
+  }
   std::uint64_t log2ceil = 0;
   while ((std::uint64_t{1} << log2ceil) < n) ++log2ceil;
-  return 64ull * n * std::max<std::uint64_t>(1, log2ceil);
+  const std::uint64_t complete = 64ull * n * std::max<std::uint64_t>(1, log2ceil);
+  return topology.kind == Topology::Kind::kComplete ? complete : 8 * complete;
 }
 
-/// {1 infected, n−1 susceptible} as a counts configuration in O(1) —
-/// never an O(n) agent loop, so n = 10^10 costs nothing to set up.
-pp::CountsConfiguration<pp::Epidemic> epidemic_counts(std::uint64_t n) {
-  pp::CountsConfiguration<pp::Epidemic> counts(std::vector<int>{1});
-  counts.add(0, n - 1);
-  return counts;
+/// The epidemic's start, {1 infected (agent 0, community 0), n − 1
+/// susceptible}: O(1) as counts and O(K) as community counts — never an
+/// O(n) agent loop, so n = 10^10 costs nothing to set up.
+struct EpidemicStart {
+  const pp::Epidemic& protocol;
+  std::uint64_t n;
+
+  pp::Population<pp::Epidemic> population() const {
+    return pp::Population<pp::Epidemic>(protocol);
+  }
+  pp::CountsConfiguration<pp::Epidemic> counts() const {
+    pp::CountsConfiguration<pp::Epidemic> counts(std::vector<int>{1});
+    counts.add(0, n - 1);
+    return counts;
+  }
+  pp::CommunityCountsConfiguration<pp::Epidemic> community(
+      pp::BlockedTopology blocked) const {
+    pp::CommunityCountsConfiguration<pp::Epidemic> counts(blocked);
+    counts.add_in(0, 1, 1);
+    for (std::uint32_t c = 0; c < blocked.communities(); ++c) {
+      const std::uint64_t susceptible = blocked.size(c) - (c == 0 ? 1 : 0);
+      if (susceptible > 0) counts.add_in(c, 0, susceptible);
+    }
+    return counts;
+  }
+};
+
+bool all_infected(const pp::Population<pp::Epidemic>& pop) {
+  return std::find(pop.states().begin(), pop.states().end(), 0) ==
+         pop.states().end();
+}
+
+template <typename Counts>
+bool all_infected(const Counts& counts) {
+  return counts.count_of(0) == 0;
 }
 
 }  // namespace
@@ -701,70 +621,8 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
                                    std::uint64_t max_interactions,
                                    std::uint64_t probe_every,
                                    obs::Journal* journal) {
-  if (n < 2) return {0, true};
-  if (max_interactions == 0) max_interactions = epidemic_budget(n);
-  // The protocol object's n is only consulted when an engine builds the
-  // clean start itself; both counts engines get the configuration
-  // pre-built, so clamping to uint32 range is harmless bookkeeping.
-  const pp::Epidemic protocol{
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 0xffffffffull))};
-  // Per-engine probe: heartbeat (when journaled), then the convergence
-  // check.  `sim` is the engine the lambda is used with.
-  const auto all_infected = [&](const auto& sim, const auto& config,
-                                std::uint64_t t) {
-    if (journal) journal->tick(t, sim.metrics());
-    return config.count_of(0) == 0;
-  };
-  switch (engine) {
-    case Engine::kNaive: {
-      if (n > 0xffffffffull) {
-        std::fprintf(stderr,
-                     "error: the naive engine materializes n agents; "
-                     "n=%llu exceeds its uint32 population limit "
-                     "(use --engine=batched or --engine=leaping)\n",
-                     static_cast<unsigned long long>(n));
-        std::exit(2);
-      }
-      pp::Simulator<pp::Epidemic> sim(protocol, seed);
-      return sim.run_until(
-          [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
-            if (journal) journal->tick(t, sim.metrics());
-            for (std::uint32_t i = 0; i < pop.size(); ++i) {
-              if (pop[i] == 0) return false;
-            }
-            return true;
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kBatched: {
-      pp::BatchedSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kLeaping: {
-      pp::LeapingSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kSharded: {
-      pp::ShardedSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed, engine.shards);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-  }
-  return {0, false};
+  return epidemic_convergence(engine, n, seed, max_interactions, probe_every,
+                              Topology{}, journal);
 }
 
 pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
@@ -773,98 +631,34 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
                                    std::uint64_t probe_every,
                                    const Topology& topology,
                                    obs::Journal* journal) {
-  if (topology.kind == Topology::Kind::kComplete) {
-    return epidemic_convergence(engine, n, seed, max_interactions, probe_every,
-                                journal);
-  }
   if (n < 2) return {0, true};
-  engine = route_topology_engine(engine, topology);
+  const bool ring = topology.kind == Topology::Kind::kRing;
+  if (n > 0xffffffffull && (engine == Engine::kNaive || ring)) {
+    std::fprintf(stderr,
+                 "error: --engine=%s cannot run topology '%s' at n=%llu: the "
+                 "naive engine materializes n agents (uint32 limit)%s\n",
+                 engine_name(engine), topology_name(topology),
+                 static_cast<unsigned long long>(n),
+                 ring ? " and the ring has no lumped configuration, so no "
+                        "engine supports this point"
+                      : "; use --engine=batched or --engine=leaping, whose "
+                        "counts hold O(K·q) counters");
+    std::exit(2);
+  }
+  if (max_interactions == 0) max_interactions = epidemic_budget(topology, n);
+  // The protocol object's n is only consulted when an agent-array engine
+  // builds its population, which the check above keeps within uint32.
   const pp::Epidemic protocol{
       static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 0xffffffffull))};
-
-  if (topology.kind == Topology::Kind::kRing) {
-    if (n > 0xffffffffull) {
-      no_engine_for_topology(topology, n,
-                             "the ring has no lumped configuration and the "
-                             "naive engine materializes n agents (uint32 "
-                             "limit)");
-    }
-    if (max_interactions == 0) {
-      // The cycle spreads by boundary contact: Θ(n²) interactions.
-      const long double b = 16.0L * static_cast<long double>(n) *
-                            static_cast<long double>(n);
-      max_interactions = b > 1.8e19L ? ~std::uint64_t{0}
-                                     : static_cast<std::uint64_t>(b);
-    }
-    pp::Simulator<pp::Epidemic, pp::GraphScheduler> sim(
-        protocol, pp::Population<pp::Epidemic>(protocol),
-        pp::GraphScheduler(pp::Graph::cycle(static_cast<std::uint32_t>(n)),
-                           util::substream(seed, 1)),
-        seed);
+  EpidemicStart start{protocol, n};
+  return on_engine(engine, topology, protocol, n, seed, start, [&](auto& sim) {
     return sim.run_until(
-        [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
+        [&](const auto& config, std::uint64_t t) {
           if (journal) journal->tick(t, sim.metrics());
-          for (std::uint32_t i = 0; i < pop.size(); ++i) {
-            if (pop[i] == 0) return false;
-          }
-          return true;
+          return all_infected(config);
         },
         max_interactions, probe_every);
-  }
-
-  // Blocked topology.  The default budget is 8× the complete-graph bound:
-  // spreading must cross the (possibly low-weight) inter-community cut,
-  // but each crossing is a one-time event against a Θ(n log n) backbone.
-  if (max_interactions == 0) max_interactions = 8 * epidemic_budget(n);
-  pp::BlockedTopology blocked = blocked_topology(topology, n);
-  if (engine == Engine::kNaive) {
-    if (n > 0xffffffffull) {
-      no_engine_for_topology(topology, n,
-                             "the naive engine materializes n agents "
-                             "(uint32 limit); use --engine=batched — the "
-                             "lumped (community, state) engine holds O(K·q) "
-                             "counters");
-    }
-    pp::Simulator<pp::Epidemic, pp::BlockedScheduler> sim(
-        protocol, pp::Population<pp::Epidemic>(protocol),
-        pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
-        seed);
-    return sim.run_until(
-        [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
-          if (journal) journal->tick(t, sim.metrics());
-          for (std::uint32_t i = 0; i < pop.size(); ++i) {
-            if (pop[i] == 0) return false;
-          }
-          return true;
-        },
-        max_interactions, probe_every);
-  }
-  // kBatched / kLeaping: the lumped engine.  The configuration is built in
-  // O(K) — {1 infected in community 0 (agent 0 lives there), the rest
-  // susceptible} — never an O(n) agent loop.  kSharded reroutes here too
-  // (its uniform block partition doesn't apply under community weighting).
-  if (engine == Engine::kSharded) {
-    std::fprintf(stderr,
-                 "note: topology '%s' is community-weighted; routing "
-                 "--engine=sharded to the community batched engine\n",
-                 topology_name(topology));
-  }
-  pp::CommunityCountsConfiguration<pp::Epidemic> counts(blocked);
-  counts.add_in(0, 1, 1);
-  for (std::uint32_t c = 0; c < blocked.communities(); ++c) {
-    const std::uint64_t susceptible = blocked.size(c) - (c == 0 ? 1 : 0);
-    if (susceptible > 0) counts.add_in(c, 0, susceptible);
-  }
-  pp::BatchedSimulator<pp::Epidemic,
-                       pp::CommunityCountsConfiguration<pp::Epidemic>>
-      sim(protocol, std::move(counts), seed);
-  return sim.run_until(
-      [&](const pp::CommunityCountsConfiguration<pp::Epidemic>& c,
-          std::uint64_t t) {
-        if (journal) journal->tick(t, sim.metrics());
-        return c.count_of(0) == 0;
-      },
-      max_interactions, probe_every);
+  });
 }
 
 core::MessageMultiplicity multiplicity_from_string(const std::string& name) {

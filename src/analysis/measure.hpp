@@ -1,16 +1,22 @@
 // Stabilization / convergence measurement for ElectLeader_r and baselines.
 //
-// Every experiment funnels through ONE engine-generic entry point:
+// The paper's measurement matrix — clean-start convergence (Theorem 1.1),
+// recovery from arbitrary corruption (Lemma 6.3) and the Lemma A.2
+// epidemic — runs through two entry points:
 //
-//   stabilize(engine, start, params, [corruption,] seed, budget)
+//   stabilize(engine, start, params, corruption, seed, budget, topology)
+//   epidemic_convergence(engine, n, seed, budget, probe_every, topology)
 //
-// with engine ∈ {naive, batched} × start ∈ {clean, adversarial} — the full
-// measurement matrix of the paper (clean-start convergence, Theorem 1.1;
-// recovery from arbitrary corruption, Lemma 6.3).  The batched adversarial
-// path projects core::make_adversarial_config through the counts
-// representation (the per-agent array is counted into state classes and
-// discarded), so every adversarial figure can run on the batched engine at
-// n = 10^5+ instead of being stuck at naive-engine scale.
+// with engine ∈ {naive, batched, leaping, sharded[:T]} × topology ∈
+// {complete, islands:K, multipartite:K, ring}; the overloads without a
+// topology are the complete graph.  Each (engine, topology) pair routes to
+// an engine that simulates it exactly (see Engine and Topology below), and
+// one run loop per workload does the probing, tracing, journaling and
+// checkpointing on whichever engine runs.  Adversarial starts project
+// core::make_adversarial_config through the counts representation on the
+// counts engines (the per-agent array is counted into state classes and
+// discarded), so every adversarial figure can run at n = 10^5+ instead of
+// being stuck at naive-engine scale.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +66,10 @@ struct ProbeOptions {
   /// the probe grid) and resumes from an existing file at the path.  Note
   /// that saving canonicalizes the registry, so a checkpointed run's
   /// trajectory matches OTHER checkpointed runs (in particular its own
-  /// kill−9/resume), not an uncheckpointed run.  The naive engine ignores
-  /// the request with a loud stderr note (checkpoints are counts-native).
+  /// kill−9/resume), not an uncheckpointed run.  Engines without a
+  /// checkpoint format — naive, the ring, and the community engine on
+  /// blocked topologies — run uncheckpointed, with one stderr note naming
+  /// the engine and the topology.
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path;
 };
@@ -113,7 +121,7 @@ enum class StartKind { kClean, kAdversarial };
 /// dispatch in stabilize()/epidemic_convergence() routes each combination
 /// to an engine that simulates it *exactly*:
 ///
-///   * kComplete      — the classical model; every engine, unchanged paths.
+///   * kComplete      — the classical model; every engine.
 ///   * kIslands       — K cliques (intra weight) bridged all-to-all (inter
 ///                      weight); blocked (pp::BlockedTopology), so naive
 ///                      runs pp::BlockedScheduler and batched/leaping run
@@ -204,8 +212,8 @@ StabilizationResult stabilize(EngineSpec engine, const core::Params& params,
 
 /// Engine × Topology dispatch (see Topology above): runs ElectLeader_r on
 /// the chosen topology, with each combination routed to an exact engine.
-/// kComplete delegates to the uniform paths unchanged; blocked topologies
-/// run BlockedScheduler (naive) or the lumped community engine
+/// The overloads without a topology are this one on kComplete; blocked
+/// topologies run BlockedScheduler (naive) or the lumped community engine
 /// (batched/leaping — leaping has no community leap path yet and routes to
 /// the community batched engine, mirroring its ineligible-protocol
 /// routing); kRing is naive-only (loud reroute).  Both engines of a
@@ -264,7 +272,7 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
                                    obs::Journal* journal = nullptr);
 
 /// Engine × Topology epidemic: one infected agent (agent 0, community 0)
-/// run to full infection.  kComplete delegates to the uniform overload;
+/// run to full infection.  The uniform overload is this one on kComplete;
 /// blocked topologies route naive → BlockedScheduler and batched/leaping →
 /// the lumped community engine, whose O(K) configuration keeps n = 10^6+
 /// feasible (an islands edge list at that n would hold ~5·10^11 edges).

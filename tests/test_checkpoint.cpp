@@ -284,5 +284,43 @@ TEST(CheckpointStabilize, ShardedResumeLandsIdentically) {
   stabilize_resume_case(EngineSpec(Engine::kSharded, 2), "sharded");
 }
 
+// An engine without a checkpoint format never drops a checkpoint request
+// silently: it runs uncheckpointed and says so once, naming the engine and
+// the topology it ran on.
+TEST(CheckpointStabilize, EnginesWithoutACheckpointFormatSayWhy) {
+  const Params p = Params::make(16, 8);
+  struct Case {
+    EngineSpec engine;
+    const char* topology;
+    const char* note;
+  };
+  const Case cases[] = {
+      {Engine::kNaive, "complete", "naive engine on topology 'complete'"},
+      {Engine::kBatched, "ring", "naive engine on topology 'ring'"},
+      {Engine::kBatched, "islands:2",
+       "batched-community engine on topology 'islands:2'"},
+      {EngineSpec(Engine::kSharded, 2), "multipartite:2",
+       "batched-community engine on topology 'multipartite:2'"},
+  };
+  for (const Case& c : cases) {
+    analysis::ProbeOptions probes;
+    probes.checkpoint_every = 100;
+    probes.checkpoint_path = tmp_path("uncheckpointed");
+    std::remove(probes.checkpoint_path.c_str());
+    ::testing::internal::CaptureStderr();
+    analysis::stabilize(c.engine, analysis::StartKind::kClean, p,
+                        core::Corruption::kNone, 3, 2000,
+                        analysis::topology_from_string(c.topology), probes);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    const std::string note = std::string("; the ") + c.note +
+                             " runs uncheckpointed";
+    EXPECT_NE(err.find(note), std::string::npos) << err;
+    EXPECT_EQ(err.find("uncheckpointed"), err.rfind("uncheckpointed"))
+        << "one note per run: " << err;
+    EXPECT_FALSE(checkpoint_load(probes.checkpoint_path).has_value())
+        << c.topology;
+  }
+}
+
 }  // namespace
 }  // namespace ssle::obs

@@ -462,6 +462,13 @@ TEST(TopologyDispatchDeathTest, RejectsInvalidSpecs) {
               ::testing::ExitedWithCode(2), "disconnected");
   EXPECT_EXIT(analysis::topology_from_string("islands:2xyz"),
               ::testing::ExitedWithCode(2), "not a valid topology");
+  // K is digits only: a sign must not wrap to K = 2^32 − 3.
+  EXPECT_EXIT(analysis::topology_from_string("islands:-3"),
+              ::testing::ExitedWithCode(2),
+              "--topology=islands:-3 is not a valid topology");
+  EXPECT_EXIT(analysis::topology_from_string("multipartite:+2"),
+              ::testing::ExitedWithCode(2),
+              "--topology=multipartite:\\+2 is not a valid topology");
 }
 
 TEST(TopologyDispatchDeathTest, UnsupportedCombinationNamesTheTopology) {
@@ -516,6 +523,26 @@ TEST(TopologyDispatch, CompleteTopologyDelegatesToTheUniformPath) {
       analysis::epidemic_convergence(analysis::Engine::kBatched, 4096, 11);
   EXPECT_EQ(via_topo.interactions, direct.interactions);
   EXPECT_EQ(via_topo.converged, direct.converged);
+
+  const core::Params params = core::Params::make(16, 8);
+  const auto budget = analysis::default_budget(params);
+  for (const auto engine :
+       {analysis::Engine::kNaive, analysis::Engine::kBatched}) {
+    for (const auto start :
+         {analysis::StartKind::kClean, analysis::StartKind::kAdversarial}) {
+      const auto corruption = start == analysis::StartKind::kClean
+                                  ? core::Corruption::kNone
+                                  : core::Corruption::kNoLeader;
+      const auto topo_run = analysis::stabilize(engine, start, params,
+                                                corruption, 5, budget, complete);
+      const auto uniform_run =
+          analysis::stabilize(engine, start, params, corruption, 5, budget);
+      EXPECT_EQ(topo_run.interactions, uniform_run.interactions)
+          << analysis::engine_name(engine) << " " << analysis::start_name(start);
+      EXPECT_EQ(topo_run.leaders, uniform_run.leaders)
+          << analysis::engine_name(engine) << " " << analysis::start_name(start);
+    }
+  }
 }
 
 TEST(TopologyDispatch, StabilizeElectsOneLeaderOnIslands) {

@@ -1,8 +1,9 @@
 // FaultPlan subsystem tests: schedule grammar + hard validation (S1),
-// runner accounting and recovery-cycle semantics, tiny-n TV law parity
-// between the counts-native runner and the independently-written naive
-// twin (Epidemic and LooseLeaderElection), and checkpoint/resume
-// determinism of full ElectLeader_r fault runs.
+// runner accounting and recovery-cycle semantics, corruption-churn
+// scenarios on both ElectLeader_r runners, tiny-n TV law parity between
+// the counts-native runner and the independently-written naive twin
+// (Epidemic and LooseLeaderElection), and checkpoint/resume determinism
+// of full ElectLeader_r fault runs.
 #include "analysis/churn.hpp"
 
 #include <gtest/gtest.h>
@@ -245,6 +246,98 @@ TEST(FaultPlanRun, WallClockStopReportsIncomplete) {
   EXPECT_FALSE(report.completed);
   EXPECT_GT(report.interactions, 0u);
   EXPECT_LT(report.interactions, plan.horizon);
+}
+
+// --- churn scenarios: corruption bursts on both ElectLeader_r runners ------
+//
+// The naive runner is the reference law and the counts runner must keep the
+// same books, so each scenario runs on both.
+
+constexpr Engine kFaultEngines[] = {Engine::kNaive, Engine::kBatched};
+
+TEST(Churn, NoChurnIsFullyAvailable) {
+  const Params p = Params::make(16, 8);
+  FaultPlan plan;
+  plan.horizon = 50000;
+  plan.probe_every = 16;
+  for (const Engine engine : kFaultEngines) {
+    const FaultReport report = run_fault_plan(engine, p, plan, 1);
+    EXPECT_EQ(report.events, 0u) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(report.leader_availability(), 1.0) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(report.safe_availability(), 1.0) << engine_name(engine);
+  }
+}
+
+TEST(Churn, RareFaultsRecoverToHighAvailability) {
+  const Params p = Params::make(16, 8);
+  const std::uint64_t period = 4 * default_budget(p) / 20;
+  const FaultPlan plan = corrupt_plan(period, 1, 12 * period, 16);
+  for (const Engine engine : kFaultEngines) {
+    const FaultReport report = run_fault_plan(engine, p, plan, 2);
+    EXPECT_GT(report.events, 10u) << engine_name(engine);
+    EXPECT_GT(report.leader_availability(), 0.60) << engine_name(engine);
+  }
+}
+
+TEST(Churn, HeavyChurnDegradesButNeverCrashes) {
+  const Params p = Params::make(16, 4);
+  const FaultPlan plan = corrupt_plan(2000, 4, 400000, 16);
+  for (const Engine engine : kFaultEngines) {
+    const FaultReport report = run_fault_plan(engine, p, plan, 3);
+    EXPECT_GT(report.events, 100u) << engine_name(engine);
+    // Under heavy churn availability drops, but the run completes and
+    // probes are still taken.
+    EXPECT_LT(report.leader_availability(), 1.0) << engine_name(engine);
+    EXPECT_GT(report.probes, 0u) << engine_name(engine);
+    EXPECT_TRUE(report.completed) << engine_name(engine);
+  }
+}
+
+TEST(Churn, ReportAccounting) {
+  const Params p = Params::make(16, 8);
+  const FaultPlan plan = corrupt_plan(1000, 3, 10000, 100);
+  for (const Engine engine : kFaultEngines) {
+    const FaultReport report = run_fault_plan(engine, p, plan, 4);
+    EXPECT_EQ(report.events, 10u) << engine_name(engine);
+    EXPECT_EQ(report.agents_corrupted, 30u) << engine_name(engine);
+    EXPECT_EQ(report.probes, 100u) << engine_name(engine);
+  }
+}
+
+TEST(Churn, DeterministicPerSeed) {
+  const Params p = Params::make(16, 8);
+  const FaultPlan plan = corrupt_plan(5000, 2, 100000, 16);
+  for (const Engine engine : kFaultEngines) {
+    const FaultReport a = run_fault_plan(engine, p, plan, 9);
+    const FaultReport b = run_fault_plan(engine, p, plan, 9);
+    EXPECT_EQ(a.probes_with_unique_leader, b.probes_with_unique_leader)
+        << engine_name(engine);
+    EXPECT_EQ(a.probes_safe, b.probes_safe) << engine_name(engine);
+    EXPECT_EQ(a.recovery_times, b.recovery_times) << engine_name(engine);
+  }
+}
+
+// The runners validate before running: an unrunnable plan exits naming the
+// field on the naive reference runner too, not only in validate_fault_plan.
+
+TEST(ChurnDeath, ZeroHorizonExitsNamingField) {
+  const Params p = Params::make(16, 8);
+  EXPECT_EXIT(run_fault_plan(Engine::kNaive, p, corrupt_plan(100, 1, 0, 16), 1),
+              ::testing::ExitedWithCode(2), "field: horizon");
+}
+
+TEST(ChurnDeath, ZeroProbeEveryExitsNamingField) {
+  const Params p = Params::make(16, 8);
+  EXPECT_EXIT(
+      run_fault_plan(Engine::kNaive, p, corrupt_plan(100, 1, 1000, 0), 1),
+      ::testing::ExitedWithCode(2), "field: probe_every");
+}
+
+TEST(ChurnDeath, BurstLargerThanPopulationExitsNamingField) {
+  const Params p = Params::make(16, 8);
+  EXPECT_EXIT(
+      run_fault_plan(Engine::kNaive, p, corrupt_plan(100, 17, 1000, 16), 1),
+      ::testing::ExitedWithCode(2), "field: count");
 }
 
 // --- quantiles ------------------------------------------------------------

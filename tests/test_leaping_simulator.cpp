@@ -49,12 +49,39 @@ static_assert(!kNarrowRegistry<core::DerandomizedElectLeader>,
 
 TEST(LeapingRouting, StabilizeRoutesIneligibleProtocolsToBatched) {
   // `--engine=leaping` must be safe on every workload: ElectLeader_r is
-  // not leap-eligible, so stabilize() silently runs the batched engine.
+  // not leap-eligible, so stabilize() runs the batched engine — the same
+  // trajectory, seed for seed, as does sharded:1 (one shard is the batched
+  // engine).  DerandomizedElectLeader routes the same way.
   const core::Params params = core::Params::make(8, 4);
-  const auto res = analysis::stabilize(analysis::Engine::kLeaping, params,
-                                       7, analysis::default_budget(params));
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.leaders, 1u);
+  const auto budget = analysis::default_budget(params);
+  const analysis::EngineSpec sharded1(analysis::Engine::kSharded, 1);
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    const auto batched =
+        analysis::stabilize(analysis::Engine::kBatched, params, seed, budget);
+    EXPECT_TRUE(batched.converged);
+    EXPECT_EQ(batched.leaders, 1u);
+    for (const auto engine :
+         {analysis::EngineSpec(analysis::Engine::kLeaping), sharded1}) {
+      const auto res = analysis::stabilize(engine, params, seed, budget);
+      EXPECT_EQ(res.interactions, batched.interactions)
+          << analysis::engine_name(engine) << " seed " << seed;
+      EXPECT_EQ(res.leaders, batched.leaders)
+          << analysis::engine_name(engine) << " seed " << seed;
+    }
+
+    const auto derandomized = analysis::stabilize_derandomized(
+        analysis::Engine::kBatched, params, seed, budget);
+    EXPECT_TRUE(derandomized.converged);
+    for (const auto engine :
+         {analysis::EngineSpec(analysis::Engine::kLeaping), sharded1}) {
+      const auto res =
+          analysis::stabilize_derandomized(engine, params, seed, budget);
+      EXPECT_EQ(res.interactions, derandomized.interactions)
+          << analysis::engine_name(engine) << " seed " << seed;
+      EXPECT_EQ(res.leaders, derandomized.leaders)
+          << analysis::engine_name(engine) << " seed " << seed;
+    }
+  }
 }
 
 TEST(LeapingRouting, EngineParsingRoundTrips) {

@@ -358,6 +358,19 @@ TEST(ShardedDispatch, EngineSpecParsesShardCounts) {
   EXPECT_STREQ(analysis::engine_name(analysis::Engine::kSharded), "sharded");
 }
 
+TEST(ShardedDispatchDeathTest, RejectsInvalidEngineSpecs) {
+  // T is digits only: "-1" must not wrap to SIZE_MAX shards.
+  for (const char* spec :
+       {"sharded:-1", "sharded:0", "sharded:+2", "sharded:2x", "sharded:",
+        "turbo"}) {
+    EXPECT_EXIT(analysis::engine_from_string(spec),
+                ::testing::ExitedWithCode(2), "is not a valid engine")
+        << spec;
+  }
+  EXPECT_EXIT(analysis::engine_from_string("sharded:-1"),
+              ::testing::ExitedWithCode(2), "--engine=sharded:-1");
+}
+
 TEST(ShardedDispatch, StabilizeElectsOneLeader) {
   const core::Params params = core::Params::make(16, 4);
   const auto res = analysis::stabilize(
