@@ -29,6 +29,10 @@ namespace ssle::core {
 /// ... and messages are pre-mixed among agents").
 DcState dc_initial_state(const Params& params, std::uint32_t rank);
 
+/// Overwrites `s` with dc_initial_state(params, rank) in place, reusing the
+/// capacity of its buckets and observations (the soft-reset path).
+void dc_reset_state(const Params& params, std::uint32_t rank, DcState& s);
+
 /// Protocol 3.  Runs one DetectCollision_r interaction between agents of
 /// rank `rank_u` / `rank_v` with collision-detection states `u` / `v`.
 /// No-op if the ranks belong to different groups.  May set u/v.error (⊤).
@@ -48,6 +52,21 @@ void update_messages(const Params& params, std::uint32_t rank_u, DcState& u,
 
 /// Protocol 14.  Deterministically splits, per (rank, content) class, the
 /// messages held by u and v so their counts differ by at most one.
+///
+/// Per rank bucket the two ID-sorted lists are merged, then split without
+/// sorting or heap allocation (scratch is per thread and reused):
+/// - one content class (the common case): the lighter agent takes the
+///   first ⌈M/2⌉ of the M merged messages, the other agent the rest;
+/// - several classes, two passes: pass 1 finds the classes in order of
+///   first appearance and gives each one's ⌈·/2⌉ share to the agent that
+///   is lighter at that point (running totals over the buckets); pass 2
+///   walks the merged list once in ID order and sends each message to its
+///   class's side, so both outputs stay ID-sorted.
+///
+/// Precondition (guaranteed by detect_collision, whose obvious-collision
+/// test fires first): no (bucket, ID) is held by both agents.  Were one
+/// shared anyway, both copies stay in the output, u's copy before v's
+/// wherever both land with the same agent.
 void balance_load(const Params& params, std::uint32_t rank_u, DcState& u,
                   DcState& v);
 

@@ -22,7 +22,7 @@ namespace {
 /// `generation`, re-enter DetectCollision at q0,DC, go on probation.
 void soft_reset(const Params& params, Agent& a, std::uint32_t generation) {
   a.sv.generation = generation % Params::kGenerations;
-  a.sv.dc = dc_initial_state(params, a.rank);
+  dc_reset_state(params, a.rank, a.sv.dc);
   a.sv.probation_timer = params.probation_max;
 }
 
@@ -42,10 +42,8 @@ VerifyStats stable_verify_counted(const Params& params, Agent& u, Agent& v,
     detect_collision(params, u.rank, u.sv.dc, v.rank, v.sv.dc, rng);
 
     // Lines 5–9: react to ⊤.
-    bool any_error = false;
     for (Agent* a : {&u, &v}) {
       if (!a->sv.dc.error) continue;
-      any_error = true;
       if (params.soft_reset_enabled && a->sv.probation_timer == 0) {
         soft_reset(params, *a, a->sv.generation + 1);
         ++stats.soft_resets;
@@ -54,7 +52,6 @@ VerifyStats stable_verify_counted(const Params& params, Agent& u, Agent& v,
         ++stats.hard_resets;
       }
     }
-    if (any_error) return stats;
     return stats;
   }
 

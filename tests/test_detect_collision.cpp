@@ -94,6 +94,38 @@ TEST(DcInitialState, SlicesPartitionTheIdSpace) {
   for (std::uint32_t j = 1; j <= ids; ++j) EXPECT_EQ(seen[j], 1) << j;
 }
 
+TEST(DcResetState, DirtyStateResetsToTheInitialState) {
+  for (const auto mult :
+       {MessageMultiplicity::kFaithful, MessageMultiplicity::kLight}) {
+    // Groups of sizes 6, 6 and 5, so a reset may also change m.
+    const Params p = Params::make(17, 5, mult);
+    util::Rng rng(7);
+    for (const std::uint32_t rank : {1u, 6u, 7u, 12u, 13u, 17u}) {
+      for (const std::uint32_t from : {1u, 13u, 17u}) {
+        DcState s = dc_initial_state(p, from);
+        // Dirty it: ⊤, advanced signature/counter, restamped observations,
+        // messages moved between buckets, a bucket dropped or one added.
+        s.error = true;
+        s.signature = 12345;
+        s.counter = 9;
+        for (auto& o : s.observations) {
+          o = static_cast<std::uint32_t>(rng.below(100));
+        }
+        s.msgs[0].insert(s.msgs[0].end(), s.msgs[1].begin(), s.msgs[1].end());
+        s.msgs[1].clear();
+        if (from == 13) {
+          s.msgs.pop_back();
+        } else {
+          s.msgs.push_back({{1, 3}});
+        }
+        dc_reset_state(p, rank, s);
+        EXPECT_EQ(s, dc_initial_state(p, rank))
+            << "rank " << rank << " from " << from;
+      }
+    }
+  }
+}
+
 TEST(DetectCollision, DifferentGroupsNoOp) {
   const Params p = Params::make(8, 2);  // several groups
   ASSERT_GT(p.num_groups(), 1u);
@@ -129,6 +161,43 @@ TEST(DetectCollision, DuplicateMessageImmediateError) {
   detect_collision(p, 1, a, 2, b, rng);
   EXPECT_TRUE(a.error);
   EXPECT_TRUE(b.error);
+}
+
+TEST(DcObviousCollision, RangesTouchingAtOneSharedIdCollide) {
+  const Params p = Params::make(8, 4);
+  DcState a = dc_initial_state(p, 1);
+  DcState b = dc_initial_state(p, 2);
+  for (auto& bucket : a.msgs) bucket.clear();
+  for (auto& bucket : b.msgs) bucket.clear();
+  // Bucket 0: b's range starts at a's last ID.
+  a.msgs[0] = {{1, 1}, {2, 1}, {3, 1}};
+  b.msgs[0] = {{3, 1}, {4, 1}, {5, 1}};
+  EXPECT_TRUE(dc_obvious_collision(p, 1, a, 2, b));
+  EXPECT_TRUE(dc_obvious_collision(p, 2, b, 1, a));
+  // Bucket 1: a's range starts at b's last ID.
+  a.msgs[0] = {{1, 1}};
+  b.msgs[0] = {{2, 1}};
+  a.msgs[1] = {{5, 1}, {6, 1}, {7, 1}};
+  b.msgs[1] = {{1, 1}, {2, 1}, {5, 1}};
+  EXPECT_TRUE(dc_obvious_collision(p, 1, a, 2, b));
+  EXPECT_TRUE(dc_obvious_collision(p, 2, b, 1, a));
+}
+
+TEST(DcObviousCollision, DisjointRangesDoNotCollide) {
+  const Params p = Params::make(8, 4);
+  DcState a = dc_initial_state(p, 1);
+  DcState b = dc_initial_state(p, 2);
+  // The pre-mixed slices are disjoint contiguous ranges.
+  EXPECT_FALSE(dc_obvious_collision(p, 1, a, 2, b));
+  EXPECT_FALSE(dc_obvious_collision(p, 2, b, 1, a));
+  // Adjacent ranges, an empty side, and interleaved but distinct IDs.
+  a.msgs[0] = {{1, 1}, {2, 1}, {3, 1}};
+  b.msgs[0] = {{4, 1}, {5, 1}};
+  a.msgs[1].clear();
+  a.msgs[2] = {{1, 1}, {3, 1}, {5, 1}};
+  b.msgs[2] = {{2, 1}, {4, 1}, {6, 1}};
+  EXPECT_FALSE(dc_obvious_collision(p, 1, a, 2, b));
+  EXPECT_FALSE(dc_obvious_collision(p, 2, b, 1, a));
 }
 
 TEST(DetectCollision, InconsistentContentRaisesError) {
