@@ -69,18 +69,15 @@
 //       stay under 3% on the hottest path (--gate-perf turns a breach into
 //       a nonzero exit).
 //
-//   [9] Sharded single-run engine + flat sampler — the PR-9 A/B, three
-//       parts.  (a) T = 1 parity: --engine=sharded:1 delegates to a real
-//       BatchedSimulator, so a stabilization run must return the exact
-//       same result as --engine=batched — always gated, like section 1's
-//       determinism check.  (b) Flat-vs-Fenwick forced comparison on a
-//       small-q per-draw workload (LooseLeaderElection, q ≪ 64): the
-//       branchless cumulative scan must beat the Fenwick descent ≥ 1.3×
-//       (--gate-perf).  (c) The headline: one adversarial ElectLeader run
-//       at q ≈ n = --nfen, batched vs sharded:4 — the single-run speedup
-//       this PR exists for, gated ≥ 1.25× under --gate-perf when the host
-//       has ≥ 4 cores (loud skip otherwise; the honest measured ratio is
-//       reported and recorded either way).
+//   [9] Sharded single-run engine, two parts.  (a) T = 1 parity:
+//       --engine=sharded:1 delegates to a real BatchedSimulator, so a
+//       stabilization run must return the exact same result as
+//       --engine=batched — always gated, like section 1's determinism
+//       check.  (b) The headline: one adversarial ElectLeader run at
+//       q ≈ n = --nfen, batched vs sharded:4 — the single-run speedup the
+//       sharded engine exists for, gated ≥ 1.25× under --gate-perf when
+//       the host has ≥ 4 cores (loud skip otherwise; the honest measured
+//       ratio is reported and recorded either way).
 //
 //   --n=64 --trials=8 --seed=7 --jobs=0 (0 = all cores)
 //   --ncross=1024 --cross-trials=1 --nbig=1000000
@@ -96,7 +93,6 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/measure.hpp"
-#include "baselines/loose_leader.hpp"
 #include "core/adversary.hpp"
 #include "core/derandomized.hpp"
 #include "core/params.hpp"
@@ -771,10 +767,8 @@ int main(int argc, char** argv) {
     report.section("observability_overhead", std::move(s8));
   }
 
-  // [9] Sharded single-run engine + small-q flat sampler: the PR-9 A/B,
-  // three parts (parity, flat sampler, single-run speedup).
+  // [9] Sharded single-run engine: parity and single-run speedup.
   bool sharded_parity_ok = true;
-  bool flat_gate_ok = true;
   bool sharded_gate_ok = true;
   {
     // (a) T = 1 parity: --engine=sharded:1 delegates to a real
@@ -798,54 +792,17 @@ int main(int argc, char** argv) {
         run_b.leaders == run_s.leaders &&
         run_b.metrics.blocks_dense == run_s.metrics.blocks_dense &&
         run_b.metrics.blocks_fenwick == run_s.metrics.blocks_fenwick &&
-        run_b.metrics.blocks_flat == run_s.metrics.blocks_flat &&
         run_b.metrics.collision_resolutions ==
             run_s.metrics.collision_resolutions;
-    std::cout << "\n[9] Sharded engine + flat sampler:\n"
+    std::cout << "\n[9] Sharded engine:\n"
               << "sharded:1 vs batched parity (ElectLeader n=" << p9.n
               << ", random_states start, full stabilization): "
               << (sharded_parity_ok ? "PASS" : "FAIL — BUG") << " ("
               << run_s.interactions << " vs " << run_b.interactions
               << " interactions)\n";
 
-    // (b) Flat vs Fenwick, forced, on a genuinely small-q per-draw
-    // workload: LooseLeaderElection with timeout_scale 1 keeps the live
-    // registry at q = O(log n) ≪ 64 — exactly the regime kAuto hands to
-    // the flat sampler — and its deterministic δ memoizes identically on
-    // both runs, so the wall-clock delta is purely the block sampler
-    // (the two runs are bit-identical by construction; tests pin that).
-    baselines::LooseLeaderElection lproto(nfen, /*timeout_scale=*/1);
-    std::uint64_t flat_q = 0;
-    const auto loose_wall = [&](pp::BlockSampling sampling) {
-      pp::BatchedSimulator<baselines::LooseLeaderElection> bsim(
-          lproto, seed + 9100, sampling);
-      const auto start_t = Clock::now();
-      bsim.step(fen_interactions);
-      const double w = seconds_since(start_t);
-      if (sampling == pp::BlockSampling::kFlat) {
-        flat_q = bsim.config().num_live_states();
-      }
-      return w;
-    };
-    // min-of-3, alternating, same slack form as the other gates.
-    double flat_s = 1e300, flat_fen_s = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      flat_s = std::min(flat_s, loose_wall(pp::BlockSampling::kFlat));
-      flat_fen_s =
-          std::min(flat_fen_s, loose_wall(pp::BlockSampling::kFenwick));
-    }
-    flat_gate_ok = 1.3 * flat_s <= flat_fen_s + 0.02;
-    std::cout << "flat vs fenwick, forced (LooseLeaderElection n=" << nfen
-              << ", q=" << flat_q << ", " << fen_interactions
-              << " interactions): flat " << util::fmt(flat_s, 3)
-              << "s vs fenwick " << util::fmt(flat_fen_s, 3) << "s — "
-              << util::fmt(flat_s > 0 ? flat_fen_s / flat_s : 0.0, 2)
-              << "x, gate (>= 1.3x) "
-              << (flat_gate_ok ? "PASS" : "FAIL (flat scan too slow)")
-              << "\n";
-
-    // (c) The headline: ONE adversarial ElectLeader run at q ≈ n = --nfen
-    // (the section-4 workload — per-draw Fenwick/flat territory, no dense
+    // (b) The headline: ONE adversarial ElectLeader run at q ≈ n = --nfen
+    // (the section-4 workload — per-draw Fenwick territory, no dense
     // bulk path, δ-cache useless), batched vs sharded:4, fixed work.
     // Phases A–C go wide; the serial remainder (shard-label draws,
     // collision resolution, merges) bounds the ratio per Amdahl, so the
@@ -927,12 +884,6 @@ int main(int argc, char** argv) {
     auto s9 = util::Json::object();
     s9.set("parity_n", static_cast<std::uint64_t>(p9.n));
     s9.set("parity_ok", sharded_parity_ok);
-    s9.set("flat_n", static_cast<std::uint64_t>(nfen));
-    s9.set("flat_q", flat_q);
-    s9.set("flat_interactions", static_cast<std::uint64_t>(fen_interactions));
-    s9.set("flat_wall_s", flat_s);
-    s9.set("fenwick_wall_s", flat_fen_s);
-    s9.set("flat_gate_ok", flat_gate_ok);
     s9.set("sharded_n", static_cast<std::uint64_t>(nfen));
     s9.set("sharded_t", static_cast<std::uint64_t>(shard_t));
     s9.set("hardware_threads", static_cast<std::uint64_t>(cores));
@@ -944,7 +895,7 @@ int main(int argc, char** argv) {
     s9.set("cross_shard_interactions", shard_final.cross_shard_interactions);
     s9.set("intra_shard_interactions", shard_final.intra_shard_interactions);
     s9.set("collision_resolutions", shard_final.collision_resolutions);
-    report.section("sharded_flat", std::move(s9));
+    report.section("sharded", std::move(s9));
   }
 
   report.write_if(json_path, std::cout);
@@ -955,13 +906,12 @@ int main(int argc, char** argv) {
   // regresses on the epidemic workload, the leap engine loses law or
   // wall-clock parity with the batched engine, the lumped community engine
   // drifts from the naive blocked-scheduler law, the observability layer
-  // costs more than 3% on the hottest path, the flat sampler fails to beat
-  // the Fenwick descent by 1.3× at small q, or (on ≥ 4-core hosts) the
+  // costs more than 3% on the hottest path, or (on ≥ 4-core hosts) the
   // sharded engine fails to beat the batched engine by 1.25× on a single
   // adversarial run at q ≈ n.
   return (ok && sharded_parity_ok &&
           (!gate_perf || (gate_ok && leap_gate_ok && comm_gate_ok &&
-                          obs_gate_ok && flat_gate_ok && sharded_gate_ok)))
+                          obs_gate_ok && sharded_gate_ok)))
              ? 0
              : 1;
 }

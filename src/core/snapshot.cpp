@@ -7,8 +7,6 @@ namespace ssle::core {
 
 namespace {
 
-constexpr const char* kHeader = "ssle-snapshot v1";
-
 void write_u64(std::ostringstream& os, const char* key, std::uint64_t v) {
   os << ' ' << key << '=' << v;
 }
@@ -41,8 +39,7 @@ bool parse_u32_token(const std::string& token, std::uint32_t* out) {
   return ec == std::errc{} && ptr == end && !token.empty();
 }
 
-void write_agent(std::ostringstream& os, const Params& params,
-                 const Agent& a) {
+void write_agent(std::ostringstream& os, const Agent& a) {
   os << "agent";
   write_u64(os, "role", static_cast<std::uint64_t>(a.role));
   write_u64(os, "rank", a.rank);
@@ -88,7 +85,6 @@ void write_agent(std::ostringstream& os, const Params& params,
     for (const Msg& m : bucket) os << ' ' << m.id << ':' << m.content;
     os << '\n';
   }
-  (void)params;
 }
 
 std::optional<Agent> read_agent(std::istringstream& is) {
@@ -169,7 +165,7 @@ std::optional<Agent> read_agent(std::istringstream& is) {
 }
 
 /// Whether the stream holds nothing but whitespace from here on — the
-/// trailing-garbage check that rejects extra/duplicated agent stanzas.
+/// trailing-garbage check that rejects an extra or duplicated stanza.
 bool at_clean_end(std::istringstream& is) {
   std::string extra;
   return !(is >> extra);
@@ -177,41 +173,9 @@ bool at_clean_end(std::istringstream& is) {
 
 }  // namespace
 
-std::string snapshot_write(const Params& params,
-                           const std::vector<Agent>& config) {
-  std::ostringstream os;
-  os << kHeader << " n=" << params.n << " r=" << params.r << '\n';
-  for (const Agent& a : config) write_agent(os, params, a);
-  return os.str();
-}
-
-std::optional<std::vector<Agent>> snapshot_read(const Params& params,
-                                                const std::string& text) {
-  std::istringstream is(text);
-  std::string word1, word2;
-  std::uint32_t n = 0, r = 0;
-  if (!(is >> word1 >> word2)) return std::nullopt;
-  if (word1 + " " + word2 != kHeader) return std::nullopt;
-  if (!read_u32(is, "n", &n) || !read_u32(is, "r", &r)) return std::nullopt;
-  if (n != params.n || r != params.r) return std::nullopt;
-
-  std::vector<Agent> config;
-  config.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto agent = read_agent(is);
-    if (!agent) return std::nullopt;
-    config.push_back(std::move(*agent));
-  }
-  // Exactly n stanzas: trailing content (a duplicated agent stanza, a
-  // concatenated second snapshot) means the text does not describe the
-  // configuration it claims to.
-  if (!at_clean_end(is)) return std::nullopt;
-  return config;
-}
-
 std::string snapshot_write_agent(const Agent& a) {
   std::ostringstream os;
-  write_agent(os, Params{}, a);
+  write_agent(os, a);
   return os.str();
 }
 

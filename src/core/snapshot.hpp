@@ -1,35 +1,22 @@
-// Configuration snapshots: serialize/restore full ElectLeader_r
-// configurations as a line-based text format.
+// Agent snapshots: serialize/restore one ElectLeader_r agent as a
+// line-based text stanza.
 //
-// Use cases: persisting adversarial counterexample configurations found by
-// fuzzing, replaying a run from a checkpoint, and diffing configurations
-// across runs.  The format is versioned and self-describing; parsing is
-// strict (any malformed field yields std::nullopt rather than a partially
-// initialized population).
+// The stanza is the per-class key codec of the counts-native checkpoint
+// (obs/checkpoint.hpp), so it is the one persistence format for agent
+// state.  Parsing is strict: any malformed field yields std::nullopt rather
+// than a partially initialized agent.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/agent.hpp"
-#include "core/params.hpp"
 
 namespace ssle::core {
 
-/// Serializes a configuration (one agent per stanza).
-std::string snapshot_write(const Params& params,
-                           const std::vector<Agent>& config);
-
-/// Parses a snapshot produced by snapshot_write.  Returns std::nullopt on
-/// any syntactic or structural error (wrong agent count, bad field,
-/// trailing garbage such as a duplicated agent stanza, ...).
-std::optional<std::vector<Agent>> snapshot_read(const Params& params,
-                                                const std::string& text);
-
-/// Serializes ONE agent as its snapshot stanza (no header) — the per-class
-/// key codec the counts-native checkpoint (obs/checkpoint.hpp) uses to
-/// store ElectLeader_r registry entries.
+/// Serializes ONE agent as its snapshot stanza — the per-class key codec
+/// the counts-native checkpoint (obs/checkpoint.hpp) uses to store
+/// ElectLeader_r registry entries.
 std::string snapshot_write_agent(const Agent& a);
 
 /// Parses exactly one stanza produced by snapshot_write_agent.  Strict:

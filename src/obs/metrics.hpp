@@ -52,8 +52,9 @@ struct EngineMetrics {
   // --- batched block machinery -----------------------------------------
   std::uint64_t blocks_dense = 0;           ///< dense-sampler blocks drawn
   std::uint64_t blocks_fenwick = 0;         ///< Fenwick-sampler blocks drawn
-  std::uint64_t blocks_flat = 0;            ///< flat-sampler blocks drawn
-  std::uint64_t flat_scan_draws = 0;        ///< flat cumulative-scan samples
+  /// Always 0: no engine has a flat block sampler.  Kept in the schema
+  /// because external consumers sum it into their block totals.
+  std::uint64_t blocks_flat = 0;
   std::uint64_t collision_resolutions = 0;  ///< colliding interactions resolved
   std::uint64_t community_pair_draws = 0;   ///< ordered community pairs drawn
 
@@ -91,7 +92,7 @@ struct EngineMetrics {
   std::uint64_t banded_pieces = 0;      ///< pieces on the banded batch path
 
   /// Snapshot as a Json object (field names == member names; `engine`
-  /// first).  Schema-stable: obs::kMetricsSchemaVersion names its version.
+  /// first, then `metrics_schema_version` = obs::kMetricsSchemaVersion).
   util::Json to_json() const;
 
   /// Accumulates another snapshot into this one: every counter field sums,
@@ -112,8 +113,9 @@ struct EngineMetrics {
   }
 };
 
-/// Version of the EngineMetrics JSON field set.  Bump when fields are
-/// renamed or removed (additions are compatible).
-inline constexpr int kMetricsSchemaVersion = 1;
+/// Version of the EngineMetrics JSON field set, written by to_json().
+/// Bump when fields are renamed or removed (additions are compatible).
+/// v2: flat_scan_draws removed.
+inline constexpr int kMetricsSchemaVersion = 2;
 
 }  // namespace ssle::obs

@@ -22,11 +22,9 @@
 //   phase A (parallel)  Each shard settles the previous block's parked
 //                       outputs, then runs its script: agents are drawn
 //                       uniformly without replacement from the shard's own
-//                       counts (flat scan when the shard registry is
-//                       narrow, Fenwick descent otherwise — the two are
-//                       stream-identical, so the choice never changes the
-//                       trajectory); intra-shard δs apply immediately with
-//                       outputs parked in the shard's used multiset;
+//                       counts through its Fenwick index; intra-shard δs
+//                       apply immediately (memoized for deterministic δ)
+//                       with outputs parked in the shard's used multiset;
 //                       cross-pair draws record the drawn class id.
 //   phase B (parallel)  Cross-pair δs.  Under uniform pairing a fraction
 //                       1 - 1/T of interactions cross shards — the
@@ -104,17 +102,10 @@ class ShardedSimulator {
   using Predicate =
       std::function<bool(const Config&, std::uint64_t /*interactions*/)>;
 
-  /// `shard_count` = 0 picks default_shard_count().  `sampling` pins the
-  /// per-shard draw machinery: kFlat / kFenwick force one path in every
-  /// shard (stream-identical, for tests); kAuto (and kDense, which has no
-  /// sharded analogue) picks per shard by registry width.
+  /// `shard_count` = 0 picks default_shard_count().
   ShardedSimulator(const P& protocol, Config config, std::uint64_t seed,
-                   std::size_t shard_count = 0,
-                   BlockSampling sampling = BlockSampling::kAuto,
-                   DeltaMemo memo = DeltaMemo::kEnabled)
+                   std::size_t shard_count = 0)
       : protocol_(protocol),
-        sampling_(sampling),
-        memo_(memo),
         n_(config.population_size()),
         rng_(util::substream(seed, 1)),
         collision_agent_rng_(util::substream(seed, 2)) {
@@ -123,7 +114,7 @@ class ShardedSimulator {
     if (T == 1) {
       // One shard is the batched engine, exactly: same seed, same
       // substreams, same block machinery — bit-identical trajectories.
-      inner_.emplace(protocol_, std::move(config), seed, sampling, memo);
+      inner_.emplace(protocol_, std::move(config), seed);
       return;
     }
     shards_.resize(T);
@@ -159,11 +150,8 @@ class ShardedSimulator {
   }
 
   ShardedSimulator(const P& protocol, std::uint64_t seed,
-                   std::size_t shard_count = 0,
-                   BlockSampling sampling = BlockSampling::kAuto,
-                   DeltaMemo memo = DeltaMemo::kEnabled)
-      : ShardedSimulator(protocol, Config(protocol), seed, shard_count,
-                         sampling, memo) {}
+                   std::size_t shard_count = 0)
+      : ShardedSimulator(protocol, Config(protocol), seed, shard_count) {}
 
   /// Executes exactly `count` interactions (same contract as the batched
   /// engine: n < 2 counts no-op steps).
@@ -262,8 +250,6 @@ class ShardedSimulator {
     m.interactions = sh.intra;
     m.interactions_iterated = sh.intra;
     m.blocks_fenwick = sh.fenwick_blocks;
-    m.blocks_flat = sh.flat_blocks;
-    m.flat_scan_draws = sh.flat_draws;
     m.fenwick_point_updates = sh.config.fenwick_updates();
     m.fenwick_samples = sh.config.fenwick_samples();
     m.registry_live_states = sh.config.num_live_states();
@@ -315,7 +301,6 @@ class ShardedSimulator {
       sh.config = std::move(fresh);
       sh.cache.clear();
       sh.used.assign(sh.config.num_states(), 0);
-      sh.flat_drawn.assign(sh.config.num_states(), 0);
       sh.touched.clear();
     }
     merged_.reset();
@@ -389,7 +374,6 @@ class ShardedSimulator {
       sh.config = std::move(configs[j]);
       sh.cache.clear();
       sh.used.assign(sh.config.num_states(), 0);
-      sh.flat_drawn.assign(sh.config.num_states(), 0);
       sh.touched.clear();
       sh.used_total = 0;
       sh.merge_pending = false;
@@ -413,9 +397,9 @@ class ShardedSimulator {
 
   /// One shard: a private CountsConfiguration plus everything the batched
   /// engine keeps per run — scheduler/agent RNG streams, δ-cache, parked-
-  /// output multiset, flat-sampler scratch.  All mutable state is touched
-  /// by exactly one pool worker per phase (phases index shards), so the
-  /// struct needs no synchronization.
+  /// output multiset.  All mutable state is touched by exactly one pool
+  /// worker per phase (phases index shards), so the struct needs no
+  /// synchronization.
   struct Shard {
     Config config{std::vector<State>{}};
     util::Rng rng{0};        ///< scheduler draws (split off the run seed)
@@ -423,15 +407,13 @@ class ShardedSimulator {
     DeltaCache cache;        ///< intra-shard (id, id) memo; never cross
     std::uint64_t cache_hits = 0, cache_misses = 0, cache_clears = 0;
     std::uint64_t intra = 0;        ///< intra-shard interactions resolved
-    std::uint64_t fenwick_blocks = 0, flat_blocks = 0, flat_draws = 0;
+    std::uint64_t fenwick_blocks = 0;
 
     // Block-scoped (phase A/C): the op script in slot order (kIntraOp, or
-    // cross-pair slot code 2c | side), the without-replacement draw
-    // budget, and the flat snapshot when this block runs the flat sampler.
+    // cross-pair slot code 2c | side) and the without-replacement draw
+    // budget.
     std::vector<std::int64_t> script;
     std::uint64_t remaining = 0;
-    bool flat_mode = false;
-    std::vector<std::uint64_t> flat_counts, flat_drawn;
 
     // Parked outputs (the shard's slice of the block's used multiset),
     // merged back into config at the next phase A / settle_all.
@@ -543,9 +525,6 @@ class ShardedSimulator {
       if (sh.used.size() > sh.config.num_states()) {
         sh.used.resize(sh.config.num_states());
       }
-      if (sh.flat_drawn.size() > sh.config.num_states()) {
-        sh.flat_drawn.resize(sh.config.num_states());
-      }
       if constexpr (kDeterministicDelta<P>) {
         sh.cache.clear();
         ++sh.cache_clears;
@@ -553,21 +532,8 @@ class ShardedSimulator {
     }
     if (sh.script.empty()) return;
 
-    const std::uint32_t q = sh.config.num_states();
     sh.remaining = sh.config.population_size();
-    // Flat vs Fenwick per-draw machinery: stream-identical, so this is a
-    // pure speed choice (see BlockSampling / kFlatMaxStates).
-    sh.flat_mode = sampling_ == BlockSampling::kFlat ||
-                   (sampling_ != BlockSampling::kFenwick &&
-                    q <= kFlatMaxStates);
-    if (sh.flat_mode) {
-      ++sh.flat_blocks;
-      sh.flat_counts.assign(sh.config.counts().begin(),
-                            sh.config.counts().end());
-      if (sh.flat_drawn.size() < q) sh.flat_drawn.resize(q, 0);
-    } else {
-      ++sh.fenwick_blocks;
-    }
+    ++sh.fenwick_blocks;
 
     for (const std::int64_t op : sh.script) {
       if (op == kIntraOp) {
@@ -585,38 +551,13 @@ class ShardedSimulator {
         }
       }
     }
-
-    if (sh.flat_mode) {
-      // Settle the flat draws now: phase D's union-pool walk reads shard
-      // configs as "the unused multiset", so removals cannot stay
-      // snapshot-only past this phase.
-      for (std::uint32_t i = 0; i < q; ++i) {
-        if (sh.flat_drawn[i] > 0) {
-          sh.config.remove_at(i, sh.flat_drawn[i]);
-          sh.flat_drawn[i] = 0;
-        }
-      }
-    }
   }
 
-  /// One without-replacement agent draw from the shard (phase A): the
-  /// uniform position resolves through the flat snapshot or the Fenwick
-  /// descent — identical class either way.
+  /// One without-replacement agent draw from the shard (phase A): a
+  /// uniform position resolved by a Fenwick descent.
   std::uint32_t shard_draw(Shard& sh) {
     const std::uint64_t pos = sh.rng.below(sh.remaining);
     --sh.remaining;
-    if (sh.flat_mode) {
-      std::uint32_t idx = 0;
-      std::uint64_t cum = 0;
-      for (const std::uint64_t c : sh.flat_counts) {
-        cum += c;
-        idx += static_cast<std::uint32_t>(cum <= pos);
-      }
-      sh.flat_counts[idx] -= 1;
-      sh.flat_drawn[idx] += 1;
-      ++sh.flat_draws;
-      return idx;
-    }
     const std::uint32_t idx = sh.config.sample_class(pos);
     sh.config.remove_at(idx, 1);
     return idx;
@@ -627,19 +568,15 @@ class ShardedSimulator {
   void apply_intra(Shard& sh, std::uint32_t ia, std::uint32_t ib) {
     if constexpr (kDeterministicDelta<P>) {
       std::uint32_t oa, ob;
-      if (memo_ == DeltaMemo::kEnabled) {
-        const std::uint64_t key = DeltaCache::pack(ia, ib);
-        std::uint64_t val;
-        if (sh.cache.lookup(key, val)) {
-          ++sh.cache_hits;
-          std::tie(oa, ob) = DeltaCache::unpack(val);
-        } else {
-          ++sh.cache_misses;
-          std::tie(oa, ob) = shard_delta(sh, ia, ib);
-          sh.cache.insert(key, DeltaCache::pack(oa, ob));
-        }
+      const std::uint64_t key = DeltaCache::pack(ia, ib);
+      std::uint64_t val;
+      if (sh.cache.lookup(key, val)) {
+        ++sh.cache_hits;
+        std::tie(oa, ob) = DeltaCache::unpack(val);
       } else {
+        ++sh.cache_misses;
         std::tie(oa, ob) = shard_delta(sh, ia, ib);
+        sh.cache.insert(key, DeltaCache::pack(oa, ob));
       }
       record_used(sh, oa);
       record_used(sh, ob);
@@ -805,8 +742,6 @@ class ShardedSimulator {
   }
 
   P protocol_;
-  BlockSampling sampling_ = BlockSampling::kAuto;
-  DeltaMemo memo_ = DeltaMemo::kEnabled;
   std::uint64_t n_ = 0;
   util::Rng rng_;                  ///< engine stream: blocks, labels, collisions
   util::Rng collision_agent_rng_;  ///< phase-D δ randomness

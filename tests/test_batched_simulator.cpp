@@ -332,103 +332,15 @@ TEST(FenwickPath, AutoHeuristicKeepsDenseForNarrowRegistries) {
   EXPECT_EQ(sim.fenwick_blocks(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Flat block sampler: by construction it consumes the same rng_.below(n−t)
-// draws as the Fenwick descent and resolves them to the same class (both
-// walk registry cumulative-count order), so forced kFlat and forced
-// kFenwick runs are BIT-IDENTICAL — not merely equal in law.  That identity
-// is the whole correctness argument for the flat path, so it is pinned
-// exactly, at several checkpoints, on a narrow and on a wide registry.
-// ---------------------------------------------------------------------------
-
-TEST(FlatPath, BitIdenticalToFenwickOnEpidemic) {
-  Epidemic proto{256};
-  BatchedSimulator<Epidemic> flat(proto, 9, BlockSampling::kFlat);
-  BatchedSimulator<Epidemic> fenwick(proto, 9, BlockSampling::kFenwick);
-  for (int checkpoint = 0; checkpoint < 10; ++checkpoint) {
-    flat.step(500);
-    fenwick.step(500);
-    ASSERT_EQ(flat.config().count_of(1), fenwick.config().count_of(1))
-        << "checkpoint " << checkpoint;
-    ASSERT_EQ(flat.config().count_of(0), fenwick.config().count_of(0))
-        << "checkpoint " << checkpoint;
-  }
-  EXPECT_GT(flat.flat_blocks(), 0u);
-  EXPECT_EQ(flat.fenwick_blocks(), 0u);
-  EXPECT_EQ(fenwick.flat_blocks(), 0u);
-  EXPECT_GT(fenwick.fenwick_blocks(), 0u);
-  EXPECT_GT(flat.flat_scan_draws(), 0u);
-}
-
-TEST(FlatPath, BitIdenticalToFenwickOnARandomizedWideRegistry) {
-  // ElectLeader_r: randomized δ, interned Agent states, registry growth and
-  // collisions — the flat path must track the Fenwick path through all of
-  // it, including class ids created mid-block (count 0 in both views, so
-  // never drawable).
-  const core::Params params = core::Params::make(16, 4);
-  core::ElectLeader protocol(params);
-  BatchedSimulator<core::ElectLeader> flat(protocol, 5, BlockSampling::kFlat);
-  BatchedSimulator<core::ElectLeader> fenwick(protocol, 5,
-                                              BlockSampling::kFenwick);
-  for (int checkpoint = 0; checkpoint < 8; ++checkpoint) {
-    flat.step(250);
-    fenwick.step(250);
-    ASSERT_EQ(flat.config().num_live_states(),
-              fenwick.config().num_live_states())
-        << "checkpoint " << checkpoint;
-    flat.config().for_each([&](const core::Agent& s, std::uint64_t c) {
-      ASSERT_EQ(fenwick.config().count_of(s), c)
-          << "checkpoint " << checkpoint;
-    });
-  }
-  EXPECT_GT(flat.flat_blocks(), 0u);
-  EXPECT_GT(fenwick.fenwick_blocks(), 0u);
-}
-
-TEST(FlatPath, TinyPopulationLawMatchesNaive) {
-  // Same tiny-n TV pinning as the dense and Fenwick paths: the collision
-  // branch of the flat sampler (used/unused bookkeeping over the snapshot)
-  // must realize the same law the naive engine induces.
-  const std::uint32_t n = 4;
-  const int trials = 3000;
-  std::map<std::uint64_t, int> pmf_naive, pmf_flat;
-  for (int t = 0; t < trials; ++t) {
-    ++pmf_naive[epidemic_time_naive(n, 20000 + t)];
-    ++pmf_flat[epidemic_time_batched(n, 120000 + t, BlockSampling::kFlat)];
-  }
-  double tv = 0.0;
-  std::map<std::uint64_t, double> diff;
-  for (const auto& [k, c] : pmf_naive) diff[k] += static_cast<double>(c) / trials;
-  for (const auto& [k, c] : pmf_flat) diff[k] -= static_cast<double>(c) / trials;
-  for (const auto& [k, d] : diff) tv += std::abs(d);
-  tv /= 2.0;
-  EXPECT_LT(tv, 0.1) << "total variation distance " << tv;
-}
-
-TEST(FlatPath, AutoSubstitutesFlatExactlyWhereFenwickWouldRun) {
-  // kAuto picks flat exactly where it would have picked Fenwick AND the
-  // registry is narrow (q ≤ kFlatMaxStates).  DistinctIdentity at n = 48
-  // straddles the per-block boundary q > 2L·⌈log2 q⌉: short blocks take
-  // the per-draw (now flat) path, long blocks stay dense — and Fenwick
-  // never fires at q ≤ 64, because flat replaces it everywhere it would
-  // have run.
+TEST(FenwickPath, AutoHeuristicStraddlesNarrowRegistries) {
+  // DistinctIdentity at n = 48 straddles the per-block boundary
+  // q > 2L·⌈log2 q⌉: short blocks take the Fenwick path, long blocks stay
+  // dense, so both samplers run.
   DistinctIdentity proto{48};
   BatchedSimulator<DistinctIdentity> sim(proto, 23);
   sim.step(20000);
-  EXPECT_GT(sim.flat_blocks(), 0u);
+  EXPECT_GT(sim.fenwick_blocks(), 0u);
   EXPECT_GT(sim.dense_blocks(), 0u);
-  EXPECT_EQ(sim.fenwick_blocks(), 0u);
-}
-
-TEST(FlatPath, AutoKeepsDenseForBulkEligibleNarrowRegistries) {
-  // The epidemic's two live states make the dense bulk path unbeatable;
-  // kAuto must not reroute it through the flat scanner.
-  Epidemic proto{4096};
-  BatchedSimulator<Epidemic> sim(proto, 22);
-  sim.step(20000);
-  EXPECT_GT(sim.dense_blocks(), 0u);
-  EXPECT_EQ(sim.flat_blocks(), 0u);
-  EXPECT_EQ(sim.fenwick_blocks(), 0u);
 }
 
 TEST(BatchedEquivalence, TinyPopulationLawMatches) {

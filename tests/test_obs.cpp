@@ -140,8 +140,12 @@ TEST(EngineMetrics, ToJsonCarriesFlatAndShardCounters) {
   const std::string line = sim.metrics().to_json().dump_line();
   EXPECT_NE(line.find("\"engine\":\"sharded\""), std::string::npos);
   EXPECT_NE(line.find("\"shards\":2"), std::string::npos);
-  EXPECT_NE(line.find("\"blocks_flat\":"), std::string::npos);
-  EXPECT_NE(line.find("\"flat_scan_draws\":"), std::string::npos);
+  // blocks_flat stays in the schema and always reads 0.
+  EXPECT_NE(line.find("\"blocks_flat\":0"), std::string::npos);
+  EXPECT_EQ(line.find("\"flat_scan_draws\":"), std::string::npos);
+  EXPECT_NE(line.find("\"metrics_schema_version\":" +
+                      std::to_string(obs::kMetricsSchemaVersion)),
+            std::string::npos);
   EXPECT_NE(line.find("\"intra_shard_interactions\":"), std::string::npos);
   EXPECT_NE(line.find("\"cross_shard_interactions\":"), std::string::npos);
 }
@@ -151,7 +155,6 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   a.engine = "batched";
   a.interactions = 100;
   a.blocks_flat = 3;
-  a.flat_scan_draws = 40;
   a.delta_cache_hits = 7;
   a.split_depth_max = 2;
   obs::EngineMetrics b;
@@ -166,7 +169,6 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   EXPECT_STREQ(m.engine, "batched");  // lhs label wins when set
   EXPECT_EQ(m.interactions, 111u);
   EXPECT_EQ(m.blocks_flat, 4u);
-  EXPECT_EQ(m.flat_scan_draws, 40u);
   EXPECT_EQ(m.delta_cache_hits, 7u);
   EXPECT_EQ(m.intra_shard_interactions, 5u);
   EXPECT_EQ(m.split_depth_max, 6u);  // max, not sum

@@ -98,7 +98,6 @@ TEST(ShardedSimulator, OneShardIsBitIdenticalToBatchedOnEpidemic) {
   EXPECT_EQ(ms.shards, 1u);
   EXPECT_EQ(ms.blocks_dense, mb.blocks_dense);
   EXPECT_EQ(ms.blocks_fenwick, mb.blocks_fenwick);
-  EXPECT_EQ(ms.blocks_flat, mb.blocks_flat);
   EXPECT_EQ(ms.collision_resolutions, mb.collision_resolutions);
   EXPECT_EQ(ms.fenwick_samples, mb.fenwick_samples);
 }
@@ -176,34 +175,14 @@ TEST(ShardedSimulator, MetricsReconcileAcrossShards) {
   // Under uniform pairing a fraction 1 - 1/T of interactions cross shards:
   // the majority at T = 4 (this is why phases B/C are parallel).
   EXPECT_GT(m.cross_shard_interactions, m.intra_shard_interactions);
-  EXPECT_GT(m.blocks_fenwick + m.blocks_flat, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Flat vs Fenwick shard sampling: stream-identical by construction.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedSimulator, ForcedFlatAndForcedFenwickAreBitIdentical) {
-  const core::Params params = core::Params::make(24, 4);
-  core::ElectLeader protocol(params);
-  ShardedSimulator<core::ElectLeader> flat(protocol, 11, /*shard_count=*/3,
-                                           BlockSampling::kFlat);
-  ShardedSimulator<core::ElectLeader> fenwick(protocol, 11, /*shard_count=*/3,
-                                              BlockSampling::kFenwick);
-  flat.step(3000);
-  fenwick.step(3000);
-  const auto& cf = flat.config();
-  const auto& cw = fenwick.config();
-  expect_same_configuration(cf, cw);
-  EXPECT_GT(flat.metrics().blocks_flat, 0u);
-  EXPECT_EQ(flat.metrics().blocks_fenwick, 0u);
-  EXPECT_GT(fenwick.metrics().blocks_fenwick, 0u);
-  EXPECT_EQ(fenwick.metrics().blocks_flat, 0u);
+  EXPECT_GT(m.blocks_fenwick, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Statistical equivalence with the naive engine at tiny n, where the
-// collision path and the cross-shard machinery are both hammered.
+// collision path and the cross-shard machinery are both hammered.  The
+// registries here hold a handful of classes, so these also pin the law of
+// the shards' Fenwick draws on narrow registries.
 // ---------------------------------------------------------------------------
 
 std::uint64_t epidemic_time_naive(std::uint32_t n, std::uint64_t seed) {
