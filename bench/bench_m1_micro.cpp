@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/measure.hpp"
 #include "baselines/cai_izumi_wada.hpp"
 #include "baselines/loose_leader.hpp"
 #include "baselines/silent_ssr.hpp"
@@ -22,6 +23,7 @@
 #include "core/derandomized.hpp"
 #include "core/detect_collision.hpp"
 #include "core/elect_leader.hpp"
+#include "core/safety.hpp"
 #include "pp/batched_simulator.hpp"
 #include "pp/delta_cache.hpp"
 #include "pp/interner.hpp"
@@ -81,6 +83,127 @@ void BM_BalanceLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BalanceLoad)->Arg(32)->Arg(64)->Arg(128);
+
+// BM_BalanceLoad's pair is a fixed point after its first call (every later
+// split is the identity).  The two cases below run BalanceLoad on fresh
+// copies of verifier pairs captured from real runs instead.
+
+/// One same-group verifier pair exactly as balance_load receives it.
+struct BalancePair {
+  std::uint32_t rank_u = 0;
+  core::DcState u;
+  core::DcState v;
+};
+
+/// Where CapturingElectLeader records to.
+struct PairCapture {
+  std::vector<BalancePair> pool;
+  bool on = true;
+  std::uint64_t seen = 0;
+  util::Rng side_rng{17};
+};
+
+/// ElectLeader δ that records every 4th pair DetectCollision would balance,
+/// as BalanceLoad receives it: the obvious-collision and consistency
+/// checks pass, and the restamps are applied (on copies, with a side RNG,
+/// so the run itself is untouched).
+struct CapturingElectLeader {
+  using State = core::Agent;
+  const core::ElectLeader* inner;
+  PairCapture* capture;
+
+  std::uint32_t population_size() const { return inner->population_size(); }
+  State initial_state(std::uint32_t i) const { return inner->initial_state(i); }
+  void interact(State& u, State& v, util::Rng& rng) const {
+    if (capture->on) record(u, v);
+    inner->interact(u, v, rng);
+  }
+
+ private:
+  void record(const State& u, const State& v) const {
+    const core::Params& params = inner->params();
+    if (u.role != core::Role::kVerifying || v.role != core::Role::kVerifying ||
+        u.sv.generation != v.sv.generation || u.sv.dc.error ||
+        v.sv.dc.error || params.group_of(u.rank) != params.group_of(v.rank) ||
+        core::dc_obvious_collision(params, u.rank, u.sv.dc, v.rank, v.sv.dc) ||
+        capture->seen++ % 4 != 0) {
+      return;
+    }
+    BalancePair pair{u.rank, u.sv.dc, v.sv.dc};
+    core::check_message_consistency(params, u.rank, pair.u, pair.v);
+    core::check_message_consistency(params, v.rank, pair.v, pair.u);
+    if (pair.u.error || pair.v.error) return;
+    core::update_messages(params, u.rank, pair.u, pair.v, capture->side_rng);
+    core::update_messages(params, v.rank, pair.v, pair.u, capture->side_rng);
+    capture->pool.push_back(std::move(pair));
+  }
+};
+
+/// 512 pairs from n = 128, r = 32 (faithful) runs from a no_leader start,
+/// on successive seeds until the pool is full.  Taken before the
+/// population is safe (`after_safe` false: 99.9% of bucket pairs are
+/// ID-disjoint and single-class), or from 10⁵ interactions after it first
+/// is, once the restamped messages have mixed (1.4% disjoint, 6%
+/// single-class).
+std::vector<BalancePair> capture_balance_pairs(bool after_safe) {
+  constexpr std::size_t kPoolSize = 512;
+  const core::Params params = core::Params::make(
+      128, 32, core::MessageMultiplicity::kFaithful);
+  const core::ElectLeader protocol(params);
+  PairCapture capture;
+  for (std::uint64_t seed = 1; capture.pool.size() < kPoolSize; ++seed) {
+    util::Rng rng(seed);
+    pp::Population<CapturingElectLeader> start(core::make_adversarial_config(
+        params, core::Corruption::kNoLeader, rng));
+    pp::Simulator<CapturingElectLeader> sim(
+        CapturingElectLeader{&protocol, &capture}, std::move(start), seed);
+    capture.on = !after_safe;
+    while (!core::is_safe_configuration(params, sim.population().states()) &&
+           sim.interactions() < analysis::default_budget(params)) {
+      sim.step(params.n);
+    }
+    if (after_safe) {
+      sim.step(100000);
+      capture.on = true;
+      sim.step(100000);
+    }
+  }
+  capture.pool.resize(kPoolSize);
+  return capture.pool;
+}
+
+/// BalanceLoad over a pool of captured pairs, each call on a fresh copy.
+void run_balance_pool(benchmark::State& state,
+                      const std::vector<BalancePair>& pool) {
+  const core::Params params = core::Params::make(
+      128, 32, core::MessageMultiplicity::kFaithful);
+  std::vector<BalancePair> work = pool;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == work.size()) {
+      state.PauseTiming();
+      work = pool;
+      i = 0;
+      state.ResumeTiming();
+    }
+    BalancePair& pair = work[i++];
+    core::balance_load(params, pair.rank_u, pair.u, pair.v);
+    benchmark::DoNotOptimize(pair.u);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_BalanceLoadRecovering(benchmark::State& state) {
+  static const std::vector<BalancePair> pool = capture_balance_pairs(false);
+  run_balance_pool(state, pool);
+}
+BENCHMARK(BM_BalanceLoadRecovering);
+
+void BM_BalanceLoadInterleaved(benchmark::State& state) {
+  static const std::vector<BalancePair> pool = capture_balance_pairs(true);
+  run_balance_pool(state, pool);
+}
+BENCHMARK(BM_BalanceLoadInterleaved);
 
 void BM_CaiIzumiWada(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

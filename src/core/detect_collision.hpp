@@ -53,15 +53,21 @@ void update_messages(const Params& params, std::uint32_t rank_u, DcState& u,
 /// Protocol 14.  Deterministically splits, per (rank, content) class, the
 /// messages held by u and v so their counts differ by at most one.
 ///
-/// Per rank bucket the two ID-sorted lists are merged, then split without
-/// sorting or heap allocation (scratch is per thread and reused):
+/// Per rank bucket the two ID-sorted lists are split without sorting or
+/// heap allocation in the steady state (scratch is per thread and reused):
 /// - one content class (the common case): the lighter agent takes the
-///   first ⌈M/2⌉ of the M merged messages, the other agent the rest;
-/// - several classes, two passes: pass 1 finds the classes in order of
-///   first appearance and gives each one's ⌈·/2⌉ share to the agent that
-///   is lighter at that point (running totals over the buckets); pass 2
-///   walks the merged list once in ID order and sends each message to its
-///   class's side, so both outputs stay ID-sorted.
+///   first ⌈M/2⌉ of the M messages in ID order, the other agent the rest.
+///   When the two lists are ID-disjoint (one is empty, or one ends below
+///   the other's start) this is a splice in O(moved): the lower run is
+///   swapped to the lighter agent if needed (O(1)), then only the
+///   difference between its size and ⌈M/2⌉ crosses the boundary.
+///   Otherwise the lists are merged and the merged list is cut in two;
+/// - several classes: the lists are merged, then two passes.  Pass 1 finds
+///   the classes in order of first appearance and gives each one's ⌈·/2⌉
+///   share to the agent that is lighter at that point (running totals
+///   over the buckets); pass 2 walks the merged list once in ID order and
+///   sends each message to its class's side, so both outputs stay
+///   ID-sorted.
 ///
 /// Precondition (guaranteed by detect_collision, whose obvious-collision
 /// test fires first): no (bucket, ID) is held by both agents.  Were one

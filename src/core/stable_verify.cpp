@@ -5,14 +5,18 @@
 
 namespace ssle::core {
 
-SvState sv_initial_state(const Params& params, std::uint32_t rank) {
-  SvState s;
+void sv_reset_state(const Params& params, std::uint32_t rank, SvState& s) {
   s.generation = 0;
   // Fresh verifiers start *on probation* (§3.2: a positive timer means
   // "only a short period of time has passed since the beginning of the
   // process", in which case errors cause a safe full reset).
   s.probation_timer = params.probation_max;
-  s.dc = dc_initial_state(params, rank);
+  dc_reset_state(params, rank, s.dc);
+}
+
+SvState sv_initial_state(const Params& params, std::uint32_t rank) {
+  SvState s;
+  sv_reset_state(params, rank, s);
   return s;
 }
 
@@ -21,9 +25,8 @@ namespace {
 /// Soft reset of a single agent (Protocol 2 line 7 / line 11): advance to
 /// `generation`, re-enter DetectCollision at q0,DC, go on probation.
 void soft_reset(const Params& params, Agent& a, std::uint32_t generation) {
+  sv_reset_state(params, a.rank, a.sv);
   a.sv.generation = generation % Params::kGenerations;
-  dc_reset_state(params, a.rank, a.sv.dc);
-  a.sv.probation_timer = params.probation_max;
 }
 
 }  // namespace

@@ -382,14 +382,17 @@ class BatchedSimulator {
   /// Rebuilds the registry into canonical dense-id form and drops every
   /// id-keyed cache (δ-memo, block scratch).  O(q).  The counts multiset —
   /// and hence the law — is unchanged; only id labels move, exactly as the
-  /// restorer will lay them out.  Uniform configurations only (the
-  /// community lifting checkpoints are not supported).
+  /// restorer will lay them out.  The registry's lifetime op counters carry
+  /// over (plus the rebuild's own re-adds), so they never decrease across a
+  /// checkpoint save.  Uniform configurations only (the community lifting
+  /// checkpoints are not supported).
   void canonicalize()
     requires Config::kUniformPairs
   {
     Config fresh{std::vector<State>{}};
     config_.for_each(
         [&](const State& s, std::uint64_t c) { fresh.add(s, c); });
+    fresh.carry_op_counters(config_);
     config_ = std::move(fresh);
     delta_cache_.clear();
     used_.assign(config_.num_states(), 0);

@@ -95,6 +95,14 @@ class CountsKernel {
   std::uint64_t fenwick_samples() const { return fenwick_samples_; }
   /// compact() calls that ran.
   std::uint64_t compactions() const { return compactions_; }
+  /// Adds `from`'s operation counters to this registry's: a registry
+  /// rebuilt from another (the engines' canonicalize()) keeps counting
+  /// where the old one left off instead of restarting at its re-adds.
+  void carry_op_counters(const CountsKernel& from) {
+    fenwick_updates_ += from.fenwick_updates_;
+    fenwick_samples_ += from.fenwick_samples_;
+    compactions_ += from.compactions_;
+  }
 
   /// Count of a key, 0 if it was never registered.
   std::uint64_t count_of(const Key& k) const {

@@ -286,8 +286,9 @@ class ShardedSimulator {
   //           chunk_0.rng, …, chunk_{T-1}.rng]   (2 + 3T entries).
 
   /// Settles parked outputs and rebuilds every shard registry into dense-id
-  /// form, dropping id-keyed caches.  The continuation runs from exactly
-  /// the form the checkpoint serializes.
+  /// form, dropping id-keyed caches and carrying each registry's op
+  /// counters over.  The continuation runs from exactly the form the
+  /// checkpoint serializes.
   void canonicalize() {
     if (inner_) {
       inner_->canonicalize();
@@ -298,6 +299,7 @@ class ShardedSimulator {
       Config fresh{std::vector<State>{}};
       sh.config.for_each(
           [&](const State& s, std::uint64_t c) { fresh.add(s, c); });
+      fresh.carry_op_counters(sh.config);
       sh.config = std::move(fresh);
       sh.cache.clear();
       sh.used.assign(sh.config.num_states(), 0);

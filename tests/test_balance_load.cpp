@@ -311,6 +311,160 @@ TEST(BalanceLoad, BitIdenticalToReferenceOverRepeatedMeetings) {
   }
 }
 
+// --- The splice path: ID-disjoint single-class buckets ---------------------
+
+/// Which case of the splice an ID-disjoint, single-class bucket exercises.
+struct SpliceCase {
+  bool lower_at_u = false;  ///< u holds the lower ID run
+  int lower_vs_ceil = 0;    ///< sign of |lower run| − ⌈M/2⌉
+  bool odd = false;         ///< M odd
+  /// 0: fresh tie (nothing handed out yet), 1: tie carried over from
+  /// earlier buckets, 2: v lighter.  u is never strictly lighter: u takes
+  /// the ceiling on ties, so the running u − v stays in {0, 1}.
+  int lighter = 0;
+  friend auto operator<=>(const SpliceCase&, const SpliceCase&) = default;
+};
+
+/// A random pair in which every bucket is ID-disjoint: bucket k's M
+/// messages are one run of consecutive IDs, cut at a random point, the
+/// lower part held by u or by v at random (either part may be empty).
+/// With `classes` = 1 every bucket is single-class; otherwise every bucket
+/// of ≥ 2 messages holds 2..`classes` contents.  When `cases` is given,
+/// each single-class bucket's splice case is appended to it, with the
+/// lighter agent taken from balance_load's running totals.
+RandomPair disjoint_pair(util::Rng& rng, std::uint32_t classes,
+                         std::vector<SpliceCase>* cases = nullptr,
+                         std::uint64_t* one_sided = nullptr) {
+  static constexpr std::uint32_t kShapes[][2] = {
+      {8, 2}, {8, 4}, {16, 4}, {16, 8}, {24, 8}, {32, 16}, {17, 5}};
+  const auto& shape = kShapes[rng.below(std::size(kShapes))];
+  RandomPair out{Params::make(shape[0], shape[1],
+                              rng.below(2) == 0
+                                  ? MessageMultiplicity::kFaithful
+                                  : MessageMultiplicity::kLight)};
+  const Params& p = out.params;
+  out.rank_u = static_cast<std::uint32_t>(1 + rng.below(p.n));
+  const std::uint32_t group = p.group_of(out.rank_u);
+  const std::uint32_t m = p.group_size(group);
+  const std::uint32_t ids = p.ids_per_rank(group);
+  out.u.msgs.resize(m);
+  out.v.msgs.resize(m);
+
+  std::uint64_t u_total = 0;
+  std::uint64_t v_total = 0;
+  for (std::uint32_t k = 0; k < m; ++k) {
+    const auto total = static_cast<std::uint32_t>(
+        rng.below(2) == 0 ? rng.below(std::min<std::uint32_t>(ids, 7) + 1)
+                          : rng.below(ids + 1));
+    const auto start =
+        static_cast<std::uint32_t>(1 + rng.below(ids - total + 1));
+    const auto cut = static_cast<std::uint32_t>(rng.below(total + 1));
+    const bool lower_at_u = rng.below(2) == 0;
+    std::vector<std::uint32_t> contents(
+        classes == 1 || total < 2 ? 1 : 2 + rng.below(classes - 1));
+    for (std::uint32_t c = 0; c < contents.size(); ++c) {
+      contents[c] = static_cast<std::uint32_t>(1 + c + 1000 * rng.below(5));
+    }
+    for (std::uint32_t i = 0; i < total; ++i) {
+      // The first |contents| messages show every content once.
+      const std::uint32_t content =
+          contents[i < contents.size() ? i : rng.below(contents.size())];
+      const Msg msg{start + i, content};
+      (((i < cut) == lower_at_u) ? out.u : out.v).msgs[k].push_back(msg);
+    }
+    if (total == 0) continue;
+    if (contents.size() == 1) {
+      const std::uint32_t ceil_half = (total + 1) / 2;
+      if (cases) {
+        cases->push_back(
+            {lower_at_u, cut < ceil_half ? -1 : cut == ceil_half ? 0 : 1,
+             total % 2 == 1,
+             u_total != v_total ? 2 : u_total == 0 ? 0 : 1});
+      }
+      if (one_sided && (cut == 0 || cut == total)) ++*one_sided;
+      const bool u_first = u_total <= v_total;
+      (u_first ? u_total : v_total) += ceil_half;
+      (u_first ? v_total : u_total) += total - ceil_half;
+    } else {
+      // Several classes: totals no longer follow from the cut alone, so
+      // later buckets of this pair are not classified.
+      cases = nullptr;
+    }
+  }
+  return out;
+}
+
+TEST(BalanceLoad, SpliceSwapsLowerRunToLighterAgent) {
+  // Bucket 0 (3 messages, tie) leaves u one ahead, so v is lighter in
+  // bucket 1: v takes the lower run {1, 2} and ID 3 from the upper one.
+  const Params p = Params::make(8, 4);
+  DcState u;
+  DcState v;
+  u.msgs.resize(p.group_size(0));
+  v.msgs.resize(p.group_size(0));
+  u.msgs[0] = {{1, 4}, {2, 4}, {3, 4}};
+  u.msgs[1] = {{1, 7}, {2, 7}};
+  v.msgs[1] = {{3, 7}, {4, 7}, {5, 7}, {6, 7}};
+  balance_load(p, 1, u, v);
+  EXPECT_EQ(u.msgs[0], (std::vector<Msg>{{1, 4}, {2, 4}}));
+  EXPECT_EQ(v.msgs[0], (std::vector<Msg>{{3, 4}}));
+  EXPECT_EQ(v.msgs[1], (std::vector<Msg>{{1, 7}, {2, 7}, {3, 7}}));
+  EXPECT_EQ(u.msgs[1], (std::vector<Msg>{{4, 7}, {5, 7}, {6, 7}}));
+}
+
+TEST(BalanceLoad, SpliceBitIdenticalToReferenceOnDisjointSingleClassPairs) {
+  util::Rng rng(20251019);
+  constexpr int kPairs = 6000;
+  int mismatches = 0;
+  std::vector<SpliceCase> cases;
+  std::uint64_t one_sided = 0;
+  for (int trial = 0; trial < kPairs; ++trial) {
+    RandomPair pair = disjoint_pair(rng, 1, &cases, &one_sided);
+    DcState u2 = pair.u;
+    DcState v2 = pair.v;
+    balance_load(pair.params, pair.rank_u, pair.u, pair.v);
+    balance_load_reference(pair.params, pair.rank_u, u2, v2);
+    if (!(pair.u == u2 && pair.v == v2)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kPairs << " disjoint pairs";
+
+  // Every combination of lower-run holder, |lower run| vs ⌈M/2⌉, parity of
+  // M and lighter agent (fresh tie, tie carried over, v) was exercised, and
+  // so was a bucket with one side empty.
+  const std::set<SpliceCase> seen(cases.begin(), cases.end());
+  for (const bool lower_at_u : {false, true}) {
+    for (const int lower_vs_ceil : {-1, 0, 1}) {
+      for (const bool odd : {false, true}) {
+        for (const int lighter : {0, 1, 2}) {
+          EXPECT_TRUE(
+              seen.count({lower_at_u, lower_vs_ceil, odd, lighter}) == 1)
+              << "lower_at_u=" << lower_at_u
+              << " lower_vs_ceil=" << lower_vs_ceil << " odd=" << odd
+              << " lighter=" << lighter;
+        }
+      }
+    }
+  }
+  EXPECT_GT(one_sided, 0u);
+}
+
+TEST(BalanceLoad, DisjointMultiClassPairsMatchReference) {
+  // ID-disjoint but with several contents per bucket: the merge path.
+  util::Rng rng(20251020);
+  constexpr int kPairs = 4000;
+  int mismatches = 0;
+  for (int trial = 0; trial < kPairs; ++trial) {
+    RandomPair pair = disjoint_pair(rng, 3);
+    DcState u2 = pair.u;
+    DcState v2 = pair.v;
+    balance_load(pair.params, pair.rank_u, pair.u, pair.v);
+    balance_load_reference(pair.params, pair.rank_u, u2, v2);
+    if (!(pair.u == u2 && pair.v == v2)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0)
+      << "of " << kPairs << " disjoint multi-class pairs";
+}
+
 TEST(BalanceLoad, SharedIdKeepsUsCopyFirst) {
   // Outside the precondition: ID 5 held by both agents with different
   // contents.  Class 9 (first seen at ID 2) sends IDs 2 and 5 to u and IDs

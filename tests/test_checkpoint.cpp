@@ -238,6 +238,41 @@ TEST(CheckpointRestore, ShardedContinuationIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+// --- registry op counters across saves -----------------------------------
+
+/// Steps `sim` and checkpoints it repeatedly: the registry's lifetime op
+/// counters must never go back at a save (canonicalize() rebuilds the
+/// registry but carries them over).
+template <typename Sim>
+void expect_counters_survive_saves(Sim& sim) {
+  for (int leg = 0; leg < 4; ++leg) {
+    sim.step(2000);
+    const obs::EngineMetrics before = sim.metrics();
+    make_checkpoint(sim, "elect_leader", core::snapshot_write_agent);
+    const obs::EngineMetrics after = sim.metrics();
+    EXPECT_GT(before.fenwick_samples, 0u) << "leg " << leg;
+    EXPECT_GE(after.fenwick_point_updates, before.fenwick_point_updates)
+        << "leg " << leg;
+    EXPECT_GE(after.fenwick_samples, before.fenwick_samples) << "leg " << leg;
+    EXPECT_GE(after.registry_compactions, before.registry_compactions)
+        << "leg " << leg;
+  }
+}
+
+TEST(CheckpointRestore, BatchedSavesKeepRegistryOpCounters) {
+  const Params p = Params::make(64, 8);
+  const core::ElectLeader protocol(p);
+  Batched sim(protocol, safe_config(p), 5);
+  expect_counters_survive_saves(sim);
+}
+
+TEST(CheckpointRestore, ShardedSavesKeepRegistryOpCounters) {
+  const Params p = Params::make(64, 8);
+  const core::ElectLeader protocol(p);
+  Sharded sim(protocol, safe_config(p), 5, /*shard_count=*/2);
+  expect_counters_survive_saves(sim);
+}
+
 // --- the stabilize() ProbeOptions plumbing --------------------------------
 
 // An interrupted stabilize run (budget exhausted mid-flight, checkpoint on

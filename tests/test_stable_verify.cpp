@@ -28,6 +28,28 @@ TEST(SvInitialState, StartsOnProbationGenerationZero) {
   EXPECT_FALSE(s.dc.error);
 }
 
+TEST(SvInitialState, InPlaceResetEqualsFreshState) {
+  // A ranker entering StableVerify reuses its stale verifier buffers: the
+  // in-place reset must land on exactly q0,SV, whatever was there (another
+  // group's bucket count, moved messages, ⊤, a later generation).
+  const Params p = Params::make(17, 5);
+  for (const std::uint32_t rank : {1u, 5u, 6u, 16u, 17u}) {
+    for (const std::uint32_t stale_rank : {1u, 9u, 17u}) {
+      SvState s = sv_initial_state(p, stale_rank);
+      s.generation = 4;
+      s.probation_timer = 0;
+      s.dc.error = true;
+      s.dc.signature = 77;
+      s.dc.msgs.front().clear();
+      s.dc.msgs.back().push_back({999, 5});
+      s.dc.observations.push_back(3);
+      sv_reset_state(p, rank, s);
+      EXPECT_EQ(s, sv_initial_state(p, rank))
+          << "rank " << rank << " stale rank " << stale_rank;
+    }
+  }
+}
+
 TEST(StableVerify, ProbationTimersDecrement) {
   const Params p = Params::make(16, 8);
   Agent u = make_verifier(p, 1, 0, 5);
