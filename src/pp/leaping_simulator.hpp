@@ -143,6 +143,19 @@ namespace ssle::pp {
 /// lives in the tails, not at the mode.
 std::uint64_t sample_binomial(util::Rng& rng, std::uint64_t trials, double p);
 
+/// Log-free sufficient test that a geometric sure-accept run covers all
+/// `left` remaining candidates: given `odds` = p/(1−p) for the marginal
+/// probability p, `u ≥ left·odds` implies log1p(−u)/log1p(−p) ≥ left,
+/// because log1p(−u) ≤ −u and log1p(−p) ≥ −p/(1−p).  The bound carries a
+/// 1e-12 relative margin — far above the few ulps of rounding in the
+/// log1p quotient and in `odds` — so a true result always agrees with the
+/// log-space decision it replaces; a false result decides nothing (the
+/// caller takes the logs).  The run length itself never changes, only
+/// the work spent finding it.
+inline bool sure_run_covers(double u, std::uint64_t left, double odds) {
+  return u >= static_cast<double>(left) * odds * (1.0 + 1e-12);
+}
+
 template <Protocol P>
 class LeapingSimulator {
   static_assert(kDeterministicDelta<P>,
@@ -669,15 +682,24 @@ class LeapingSimulator {
       // geometric: leap each run with one inverse-transform draw,
       // truncated at the piece end (exact, by memorylessness).  Sure
       // accepts need no decision — u·W̄ < W_low ≤ W_act(j) at any j
-      // reachable in the piece.
-      const double log_keep = std::log1p(-p_marginal);  // < 0
-      std::uint64_t k = 0;  // candidates consumed
+      // reachable in the piece.  Mid-run c·p_marginal ≪ 1, so the run
+      // usually covers the rest of the piece: sure_run_covers decides
+      // that from the same u without a log, and the logs are only taken
+      // (log_keep once per piece, lazily) when it cannot.
+      const double odds = p_marginal / (1.0 - p_marginal);
+      double log_keep = 0.0;  // log1p(−p_marginal) < 0 once computed
+      std::uint64_t k = 0;    // candidates consumed
       while (k < c) {
-        const double run_f = std::log1p(-rng_.real()) / log_keep;
+        const double u = rng_.real();
         const std::uint64_t left = c - k;
-        const std::uint64_t run = run_f >= static_cast<double>(left)
-                                      ? left
-                                      : static_cast<std::uint64_t>(run_f);
+        std::uint64_t run = left;
+        if (!sure_run_covers(u, left, odds)) {
+          if (log_keep == 0.0) log_keep = std::log1p(-p_marginal);
+          const double run_f = std::log1p(-u) / log_keep;
+          if (run_f < static_cast<double>(left)) {
+            run = static_cast<std::uint64_t>(run_f);
+          }
+        }
         accepts += run;
         k += run;
         if (k >= c) break;

@@ -512,6 +512,90 @@ TEST(EpidemicConvergence, TrivialPopulationsAreAlreadyConverged) {
 }
 
 // ---------------------------------------------------------------------------
+// sure_run_covers: the banded path's log-free "the run covers the piece"
+// decision must never contradict the log-space decision it short-cuts.
+// ---------------------------------------------------------------------------
+
+/// The decision the banded path took before the short-cut: the geometric
+/// run ⌊log1p(−u)/log1p(−p)⌋ reaches all `left` candidates.
+bool log_run_covers(double u, std::uint64_t left, double p) {
+  return std::log1p(-u) / std::log1p(-p) >= static_cast<double>(left);
+}
+
+/// Checks one (u, left, p): a "covers" from the short-cut must be a
+/// "covers" from the logs.  Returns the short-cut's answer.
+bool check_sure_run(double u, std::uint64_t left, double p) {
+  const bool fast = sure_run_covers(u, left, p / (1.0 - p));
+  if (fast) {
+    EXPECT_TRUE(log_run_covers(u, left, p))
+        << "u=" << u << " left=" << left << " p=" << p;
+  }
+  return fast;
+}
+
+TEST(SureRun, AgreesWithLogDecisionAtTheBound) {
+  const std::uint64_t lefts[] = {1, 2, 3, 17, 4096, 6144, 1u << 20};
+  const double ps[] = {1e-16, 0x1p-53, 1e-12, 1e-9, 4.1e-7, 1e-4, 0.01, 0.125};
+  for (const std::uint64_t left : lefts) {
+    for (const double p : ps) {
+      const double bound =
+          static_cast<double>(left) * (p / (1.0 - p)) * (1.0 + 1e-12);
+      if (bound >= 1.0) continue;  // u < 1: no u can pass
+      // Right at the bound, one ulp either side, and relative nudges
+      // down to (and below) the margin.
+      double u = bound;
+      for (int i = 0; i < 4; ++i) u = std::nextafter(u, 0.0);
+      for (int i = 0; i < 9; ++i, u = std::nextafter(u, 1.0)) {
+        check_sure_run(u, left, p);
+      }
+      for (const double rel : {-1e-9, -1e-12, -1e-15, 1e-15, 1e-12, 1e-9}) {
+        check_sure_run(bound * (1.0 + rel), left, p);
+      }
+      // Not vacuous: comfortably above the bound the short-cut decides.
+      if (2.0 * bound < 1.0) {
+        EXPECT_TRUE(check_sure_run(2.0 * bound, left, p));
+      }
+    }
+  }
+}
+
+TEST(SureRun, AgreesWithLogDecisionOnRandomizedInputs) {
+  util::Rng rng(20240611);
+  int decided = 0;
+  const int cases = 200000;
+  for (int i = 0; i < cases; ++i) {
+    const std::uint64_t left = 1 + rng.below(8192);
+    // p log-uniform on [1e-16, 0.125]: every band width the engine sees.
+    const double p = std::exp(std::log(1e-16) +
+                              rng.real() * (std::log(0.125) - std::log(1e-16)));
+    const double bound = static_cast<double>(left) * p / (1.0 - p);
+    // Half the u's cluster within ±1e-11 relative of the bound, half are
+    // uniform — the engine's own draw.
+    const double u = i % 2 == 0
+                         ? std::min(bound * (1.0 + (rng.real() - 0.5) * 2e-11),
+                                    std::nextafter(1.0, 0.0))
+                         : rng.real();
+    decided += check_sure_run(u, left, p) ? 1 : 0;
+  }
+  EXPECT_GT(decided, cases / 4);  // the short-cut does take most runs
+}
+
+TEST(SureRun, ExtremeInputs) {
+  // u = 0 never covers (no positive bound is ≤ 0); a u just below 1 covers
+  // any piece whose bound is below it.
+  EXPECT_FALSE(check_sure_run(0.0, 1, 1e-16));
+  EXPECT_TRUE(check_sure_run(std::nextafter(1.0, 0.0), 1, 0.125));
+  EXPECT_TRUE(check_sure_run(std::nextafter(1.0, 0.0), 6144, 1e-9));
+  EXPECT_FALSE(check_sure_run(0.5, 8, 0.125));  // bound 8/7 > 1
+  // The engine's uniforms are multiples of 2^-53.
+  for (const double p : {1e-16, 1e-9, 0.125}) {
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      check_sure_run(static_cast<double>(k) * 0x1p-53, 1, p);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // sample_binomial: the exact draw the windows are built on.
 // ---------------------------------------------------------------------------
 
