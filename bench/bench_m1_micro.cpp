@@ -2,8 +2,9 @@
 // interaction throughput of each protocol, the scheduler, the heavy
 // DetectCollision inner loops, and a per-interaction cost breakdown of the
 // batched engine's hot path (state copy vs hash vs Fenwick update vs δ
-// call vs intern vs δ-cache lookup), so end-to-end engine ratios can be
-// decomposed into their components.  Not a paper claim; establishes the
+// call vs intern vs δ-cache lookup) and the leap engine's per-window
+// binomial draw, so end-to-end engine ratios can be decomposed into their
+// components.  Not a paper claim; establishes the
 // simulation cost model used to size the other experiments.
 //
 // `--json=<path>` maps to google-benchmark's JSON reporter
@@ -27,6 +28,7 @@
 #include "pp/batched_simulator.hpp"
 #include "pp/delta_cache.hpp"
 #include "pp/interner.hpp"
+#include "pp/leaping_simulator.hpp"
 #include "pp/simulator.hpp"
 
 namespace {
@@ -204,6 +206,30 @@ void BM_BalanceLoadInterleaved(benchmark::State& state) {
   run_balance_pool(state, pool);
 }
 BENCHMARK(BM_BalanceLoadInterleaved);
+
+// One exact binomial draw per leap window (pp::sample_binomial): the leap
+// regime the n = 10^10 epidemic windows draw in, a moderate BTRD case, and
+// the small-mean inversion fallback below trials·min(p, 1−p) = 10.
+void BM_SampleBinomial(benchmark::State& state) {
+  struct Regime {
+    const char* label;
+    std::uint64_t trials;
+    double p;
+  };
+  static constexpr Regime kRegimes[] = {
+      {"leap 1e10 x 4.1e-7", 10'000'000'000ull, 4.1e-7},
+      {"moderate 1000 x 0.3", 1000, 0.3},
+      {"fallback 100 x 0.05", 100, 0.05},
+  };
+  const Regime& regime = kRegimes[state.range(0)];
+  util::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pp::sample_binomial(rng, regime.trials, regime.p));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(regime.label);
+}
+BENCHMARK(BM_SampleBinomial)->DenseRange(0, 2);
 
 void BM_CaiIzumiWada(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

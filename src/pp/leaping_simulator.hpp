@@ -90,10 +90,14 @@
 //
 // Cost per active interaction is O(1) with tiny constants plus an O(A)
 // classification walk (A = number of active pair types); per *window* an
-// O(A) envelope rebuild and one O(σ) binomial draw, amortized over
-// ~2·cap/3 candidates.  For the epidemic (q = 2, A = 2) the n = 10^10 Lemma A.2 sweep
-// — 2.3·10^11 interactions, 10^10 of them active — runs in tens of
-// seconds; the 2.2·10^11 null interactions cost *zero* iterations.  Where
+// O(A) envelope rebuild and one O(1) binomial draw (BTRD, ~50 ns),
+// amortized over ~2·cap/3 candidates.  A banded piece costs O(1) more:
+// its first geometric run usually covers the whole piece, which
+// sure_run_covers decides without a log, so mid-run a window takes no
+// libm call beyond the floor/envelope products.  For the epidemic (q = 2,
+// A = 2) the n = 10^10 Lemma A.2 sweep — 2.3·10^11 interactions, 10^10 of
+// them active, ~2.4·10^6 windows — runs in about 0.3 s on one core; the
+// 2.2·10^11 null interactions cost *zero* iterations.  Where
 // active types carry most of the weight (LooseLeaderElection's
 // follower×follower timer decrements, q ≈ n random starts) W̄ ≈ W_tot and
 // leaping degrades gracefully to ~1 candidate per interaction — exact but
@@ -134,13 +138,25 @@
 
 namespace ssle::pp {
 
-/// Exact binomial draw B(trials, p) by mode-centered inverse transform in
-/// log space (pmf recurrence outward from the mode, expected O(σ) visited
-/// support points).  Floating-point residue is attributed to the outermost
-/// *visited* support point on the heavier side — an O(double-epsilon)
-/// overweight of that endpoint; the same tail policy as
-/// sample_hypergeometric, and for the same reason: the uncovered sliver
-/// lives in the tails, not at the mode.
+/// Exact binomial draw B(trials, p) in O(1) expected time.
+///
+///   * trials·min(p, 1−p) ≥ 10: Hörmann's BTRD (transformed rejection
+///     with decomposition, J. Stat. Comput. Simul. 46, 1993) — about 1.2
+///     uniforms and ~50 ns per draw whatever σ is; p > ½ draws
+///     trials − B(trials, 1−p).  Rejection keeps the law exact up to the
+///     rounding of its log-pmf ratio (~(mode + k)·ε absolute, ~1e-12 on the
+///     leap windows' own draws).
+///   * below that: mode-centered inverse transform in log space (pmf
+///     recurrence outward from the mode; σ < √10, so O(1) visited support
+///     points).  Floating-point residue is attributed to the outermost
+///     *visited* support point on the heavier side — an O(double-epsilon)
+///     overweight of that endpoint; the same tail policy as
+///     sample_hypergeometric.
+///
+/// Degenerate inputs: 0 for trials = 0, p ≤ 0 or NaN p (like Rng::below(0),
+/// a caller bug answered deterministically), trials for p ≥ 1.  The result
+/// never exceeds `trials`, also where trials is beyond 2^53 and its double
+/// image rounds up.
 std::uint64_t sample_binomial(util::Rng& rng, std::uint64_t trials, double p);
 
 /// Log-free sufficient test that a geometric sure-accept run covers all

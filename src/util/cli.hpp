@@ -1,5 +1,11 @@
 // Minimal command-line option parsing for the bench/example binaries.
-// Supports "--key=value" and "--flag" forms; anything unknown is reported.
+// Supports "--key=value" and "--flag" forms ("--flag" stores "1"; a repeated
+// key keeps its last value); arguments without "--" are positional.
+//
+// Unknown keys are NOT reported: every "--key" is stored, and a key no
+// getter asks for is silently ignored — a typo'd flag runs with the
+// default.  Callers that must reject stray flags have to check has()
+// themselves.
 //
 // Numeric getters are strict: a present-but-unparseable value (e.g.
 // "--n=abc", "--x=1.2.3") prints a clear error and exits with status 2

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "analysis/measure.hpp"
@@ -28,6 +29,7 @@
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "pp/epidemic.hpp"
+#include "pp/log_combinatorics.hpp"
 #include "pp/simulator.hpp"
 
 namespace ssle::pp {
@@ -538,15 +540,17 @@ TEST(SureRun, AgreesWithLogDecisionAtTheBound) {
   const double ps[] = {1e-16, 0x1p-53, 1e-12, 1e-9, 4.1e-7, 1e-4, 0.01, 0.125};
   for (const std::uint64_t left : lefts) {
     for (const double p : ps) {
-      const double bound =
-          static_cast<double>(left) * (p / (1.0 - p)) * (1.0 + 1e-12);
+      const double bare = static_cast<double>(left) * (p / (1.0 - p));
+      const double bound = bare * (1.0 + 1e-12);
       if (bound >= 1.0) continue;  // u < 1: no u can pass
-      // Right at the bound, one ulp either side, and relative nudges
-      // down to (and below) the margin.
-      double u = bound;
-      for (int i = 0; i < 4; ++i) u = std::nextafter(u, 0.0);
-      for (int i = 0; i < 9; ++i, u = std::nextafter(u, 1.0)) {
-        check_sure_run(u, left, p);
+      // Within four ulps of the bound and of the bare (margin-free) one,
+      // and relative nudges down to (and below) the margin.
+      for (const double at : {bare, bound}) {
+        double u = at;
+        for (int i = 0; i < 4; ++i) u = std::nextafter(u, 0.0);
+        for (int i = 0; i < 9; ++i, u = std::nextafter(u, 1.0)) {
+          check_sure_run(u, left, p);
+        }
       }
       for (const double rel : {-1e-9, -1e-12, -1e-15, 1e-15, 1e-12, 1e-9}) {
         check_sure_run(bound * (1.0 + rel), left, p);
@@ -650,6 +654,149 @@ TEST(Binomial, HugeTrialsTinyPStaysOnTheoryMean) {
   const double mean = sum / draws;
   const double se = 31.6 / std::sqrt(static_cast<double>(draws));
   EXPECT_NEAR(mean, 1000.0, 5.0 * se);
+}
+
+/// Pearson χ² of `draws` samples of B(trials, p) against the exact pmf
+/// (log_choose in log space), over the support within ±7σ of the mean
+/// (the rest is < 1e-11 of the mass and folded into the end bins), with
+/// adjacent points merged until every bin expects ≥ 20.  Returns
+/// (χ², degrees of freedom).
+std::pair<double, int> binomial_chi_square(util::Rng& rng,
+                                           std::uint64_t trials, double p,
+                                           int draws) {
+  const double nd = static_cast<double>(trials);
+  const double mean = nd * p;
+  const double sd = std::sqrt(nd * p * (1.0 - p));
+  const std::uint64_t lo = static_cast<std::uint64_t>(
+      std::max(0.0, std::floor(mean - 7.0 * sd - 2.0)));
+  const std::uint64_t hi = std::min<std::uint64_t>(
+      trials, static_cast<std::uint64_t>(std::ceil(mean + 7.0 * sd + 2.0)));
+  std::vector<double> pmf(hi - lo + 1);
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    pmf[k - lo] = std::exp(log_choose(trials, k) +
+                           static_cast<double>(k) * std::log(p) +
+                           static_cast<double>(trials - k) * std::log1p(-p));
+  }
+  std::vector<double> observed(pmf.size(), 0.0);
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t k = sample_binomial(rng, trials, p);
+    EXPECT_LE(k, trials);
+    observed[std::clamp(k, lo, hi) - lo] += 1.0;
+  }
+  double chi2 = 0.0;
+  int bins = 0;
+  double expect = 0.0, seen = 0.0;
+  for (std::size_t i = 0; i < pmf.size(); ++i) {
+    expect += pmf[i] * draws;
+    seen += observed[i];
+    if (expect >= 20.0 || i + 1 == pmf.size()) {
+      chi2 += (seen - expect) * (seen - expect) / expect;
+      ++bins;
+      expect = seen = 0.0;
+    }
+  }
+  return {chi2, bins - 1};
+}
+
+/// Upper 0.999 quantile of χ²(dof) (Wilson–Hilferty, z = 3.09).  The
+/// seeds are fixed, so each law test is a deterministic regression gate.
+double chi_square_999(int dof) {
+  const double d = static_cast<double>(dof);
+  const double t = 1.0 - 2.0 / (9.0 * d) + 3.09 * std::sqrt(2.0 / (9.0 * d));
+  return d * t * t * t;
+}
+
+void expect_binomial_law(std::uint64_t seed, std::uint64_t trials, double p) {
+  util::Rng rng(seed);
+  const auto [chi2, dof] = binomial_chi_square(rng, trials, p, 200000);
+  ASSERT_GT(dof, 0);
+  EXPECT_LT(chi2, chi_square_999(dof))
+      << "B(" << trials << ", " << p << "): chi2 " << chi2 << " on " << dof
+      << " dof";
+}
+
+TEST(Binomial, BtrdMatchesExactPmfModerate) {
+  expect_binomial_law(101, 1000, 0.3);
+}
+
+TEST(Binomial, BtrdMatchesExactPmfAtTheLeapPoint) {
+  // The leap windows' own regime: ~10^10 slots, E[C] ≈ 4100.
+  expect_binomial_law(102, 10'000'000'000ull, 4.1e-7);
+}
+
+TEST(Binomial, BtrdSymmetryBranchMatchesExactPmf) {
+  // p > ½ draws trials − B(trials, 1 − p).
+  expect_binomial_law(103, 200, 0.9);
+}
+
+TEST(Binomial, AboveOneHalfIsTheReflectedDraw) {
+  // BTRD's hat is built for p ≤ ½; above it the sampler must reflect, draw
+  // for draw (1 − p is exact there), not run BTRD on p itself.
+  for (const auto& [trials, p] :
+       {std::pair<std::uint64_t, double>{200, 0.9},
+        {10'000'000'000ull, 0.7},
+        {10'000'000'000ull, 1.0 - 4.1e-7}}) {
+    util::Rng a(110), b(110);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(sample_binomial(a, trials, p),
+                trials - sample_binomial(b, trials, 1.0 - p))
+          << "trials=" << trials << " p=" << p;
+    }
+  }
+}
+
+TEST(Binomial, BothSidesOfTheBtrdSwitchMatchExactPmf) {
+  // trials·min(p, 1 − p) = 10 is the switch from inversion to BTRD.
+  expect_binomial_law(104, 1000, 0.00999);  // 9.99: inversion
+  expect_binomial_law(105, 1000, 0.01001);  // 10.01: BTRD
+  expect_binomial_law(106, 1000, 0.99001);  // 9.99 on the 1 − p side
+  expect_binomial_law(107, 1000, 0.98999);  // 10.01: reflected BTRD
+  expect_binomial_law(108, 20, 0.5);        // exactly 10, smallest σ
+}
+
+TEST(Binomial, BtrdMeanAndVarianceAtHugeSigma) {
+  // σ ≈ 4.6·10^4: O(σ) inversion could not afford this; BTRD is O(1).
+  util::Rng rng(109);
+  const std::uint64_t trials = 10'000'000'000ull;
+  const double p = 0.3;
+  const double mean = 3e9;
+  const double var = 2.1e9;
+  const int draws = 20000;
+  double sum = 0.0, sum2 = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    const double d =
+        static_cast<double>(sample_binomial(rng, trials, p)) - mean;
+    sum += d;
+    sum2 += d * d;
+  }
+  const double n = static_cast<double>(draws);
+  const double m = sum / n;
+  const double v = (sum2 - n * m * m) / (n - 1.0);
+  EXPECT_NEAR(m, 0.0, 5.0 * std::sqrt(var / n));
+  EXPECT_NEAR(v, var, 5.0 * var * std::sqrt(2.0 / (n - 1.0)));
+}
+
+TEST(Binomial, NanProbabilityDrawsZero) {
+  util::Rng rng(7);
+  const double nan = std::nan("");
+  EXPECT_EQ(sample_binomial(rng, 100, nan), 0u);
+  EXPECT_EQ(sample_binomial(rng, 10'000'000'000ull, nan), 0u);
+}
+
+TEST(Binomial, NeverExceedsTrialsNearAndAbove2To53) {
+  util::Rng rng(8);
+  const std::uint64_t big[] = {(1ull << 53) - 1, (1ull << 53) + 1,
+                               (1ull << 60) + 3, ~0ull};
+  const double ps[] = {1e-15,  4.1e-7, 0.3, 0.5, 1.0 - 1e-9,
+                       1.0 - 0x1p-53};
+  for (const std::uint64_t trials : big) {
+    for (const double p : ps) {
+      for (int i = 0; i < 50; ++i) {
+        EXPECT_LE(sample_binomial(rng, trials, p), trials)
+            << "trials=" << trials << " p=" << p;
+      }
+    }
+  }
 }
 
 }  // namespace
